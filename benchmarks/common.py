@@ -106,10 +106,10 @@ def sweep(
     jobs = default_jobs() if jobs is None else jobs
     if jobs > 1 and len(scenes) > 1:
         # Fan out across workers; results land in the in-process
-        # memoizer, so the comprehension below is pure lookups.
-        from repro.exec import prewarm_results
+        # memo, so the comprehension below is pure lookups.
+        from repro.exec import prewarm_replays
 
-        prewarm_results([technique], scenes, scale, jobs=jobs)
+        prewarm_replays([technique], scenes, scale, jobs=jobs)
     else:
         # Serial path: batch all missing trace generation through the
         # vectorized forest driver before simulating.

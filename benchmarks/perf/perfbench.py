@@ -318,7 +318,7 @@ def bench_replay(
         workload = pairs if subset is None else subset
 
         def run_replay():
-            pipeline._RESULT_CACHE.clear()
+            pipeline.STORE.clear("result")
             for scene, technique in workload:
                 _run_experiment(
                     scene, technique, scale, replay_backend=backend
@@ -340,12 +340,12 @@ def bench_replay(
         }
 
     def replay_serial():
-        pipeline._RESULT_CACHE.clear()
+        pipeline.STORE.clear("result")
         for scene, technique in pairs:
             _run_experiment(scene, technique, scale)
 
     def replay_parallel():
-        pipeline._RESULT_CACHE.clear()
+        pipeline.STORE.clear("result")
         prewarm_replays(
             [BASELINE, TREELET_PREFETCH], scenes, scale, jobs=parallel_jobs
         )

@@ -21,9 +21,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from ..core.pipeline import (
     BASELINE,
     DEFAULT,
-    FULL,
-    PAPER,
-    SMOKE,
+    SCALES,
     ExperimentResult,
     Scale,
     Technique,
@@ -34,13 +32,6 @@ from ..core.sweeps import SceneOutcome, SweepResult
 from ..obs.spans import span as _span
 from .techniques import _suggest, parse_technique, technique_to_spec
 
-_SCALES_BY_NAME: Dict[str, Scale] = {
-    "smoke": SMOKE,
-    "default": DEFAULT,
-    "full": FULL,
-    "paper": PAPER,
-}
-
 TechniqueLike = Union[Technique, str]
 ScaleLike = Union[Scale, str]
 
@@ -49,9 +40,9 @@ def _coerce_scale(scale: ScaleLike) -> Scale:
     if isinstance(scale, Scale):
         return scale
     try:
-        return _SCALES_BY_NAME[scale.strip().lower()]
+        return SCALES[scale.strip().lower()]
     except (AttributeError, KeyError):
-        known = ", ".join(_SCALES_BY_NAME)
+        known = ", ".join(SCALES)
         raise ValueError(f"unknown scale {scale!r} (known: {known})")
 
 
@@ -128,7 +119,7 @@ class RunRequest:
 
     ``technique`` and ``scale`` accept spec strings (resolved with
     :func:`parse_technique` / by scale name) or the objects themselves.
-    ``cache=False`` bypasses the in-process result memoizer;
+    ``cache=False`` bypasses the in-process result memo;
     ``trace_backend`` forces "vectorized" or "scalar" trace generation
     for this run (they are bit-identical; None uses the process
     default).  ``replay_backend`` likewise forces the "batched" or

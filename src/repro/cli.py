@@ -60,22 +60,14 @@ import json
 import sys
 from typing import List, Optional
 
-from . import (
-    BASELINE,
-    DEFAULT,
-    FULL,
-    PAPER,
-    SMOKE,
-    Technique,
-    speedup,
-)
+from . import BASELINE, Technique, speedup
 from .api import describe_techniques, parse_technique, technique_fields
 from .api.facade import run as api_run
 from .api.facade import sweep as api_sweep
 from .bvh import compute_tree_stats
 from .core import REPLAY_BACKENDS, TRACE_BACKENDS
 from .core import banner, format_series, format_table, geomean
-from .core.pipeline import get_bvh, get_decomposition
+from .core.pipeline import SCALES, get_bvh, get_decomposition
 from .prefetch import PrefetchHeuristic
 from .render import RenderConfig, render
 from .scenes import (
@@ -85,8 +77,6 @@ from .scenes import (
     build_scene,
     scene_registry,
 )
-
-_SCALES = {"smoke": SMOKE, "default": DEFAULT, "full": FULL, "paper": PAPER}
 
 #: Everything `run`/`sweep`/`queries` accept as a scene: the rendering
 #: evaluation set plus the query-workload scenes.
@@ -211,7 +201,7 @@ def _technique_from_args(args: argparse.Namespace) -> Technique:
 
 def _cmd_scenes(args: argparse.Namespace) -> int:
     if getattr(args, "scenes_action", "budgets") == "list":
-        scale = _SCALES[getattr(args, "scale", "default")]
+        scale = SCALES[getattr(args, "scale", "default")]
         rows = []
         for name, kind, budget in scene_registry():
             scene = build_scene(name, scale.scene_scale)
@@ -238,7 +228,7 @@ def _cmd_techniques(_args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     bvh = get_bvh(args.scene, scale)
     stats = compute_tree_stats(bvh)
     decomposition = get_decomposition(args.scene, scale, args.treelet_bytes)
@@ -299,7 +289,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_impl(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     workload = getattr(args, "workload", "render")
     _activate_cache(args)
@@ -350,7 +340,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_impl(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     workload = getattr(args, "workload", "render")
     scenes = args.scenes or None
@@ -431,7 +421,7 @@ def _cmd_sweep_impl(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Observer, write_chrome_trace
 
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     _activate_cache(args)
     _activate_backend(args)
@@ -721,7 +711,7 @@ def _cmd_queries(args: argparse.Namespace) -> int:
     from .queries import verify_workload
     from .scenes import SCENE_KINDS
 
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     workload = args.workload
     if workload is None:
@@ -771,7 +761,7 @@ def _cmd_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     scene = build_scene(args.scene, scale.scene_scale)
     bvh = get_bvh(args.scene, scale)
     image = render(
@@ -810,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
              "budgets; 'list' prints the full registry — rendering + "
              "query scenes — with kind and built triangle count",
     )
-    scenes.add_argument("--scale", choices=list(_SCALES), default="default",
+    scenes.add_argument("--scale", choices=list(SCALES), default="default",
                         help="scale at which `list` builds each scene")
 
     sub.add_parser(
@@ -820,12 +810,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="BVH/treelet stats for a scene")
     stats.add_argument("scene", choices=list(ALL_SCENES))
-    stats.add_argument("--scale", choices=list(_SCALES), default="default")
+    stats.add_argument("--scale", choices=list(SCALES), default="default")
     stats.add_argument("--treelet-bytes", type=int, default=512)
 
     run = sub.add_parser("run", help="one technique vs baseline on a scene")
     run.add_argument("scene", choices=list(_RUNNABLE_SCENES))
-    run.add_argument("--scale", choices=list(_SCALES), default="default")
+    run.add_argument("--scale", choices=list(SCALES), default="default")
     run.add_argument("--workload", choices=list(_WORKLOADS),
                      default="render",
                      help="ray workload: render (camera rays), knn, or "
@@ -842,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="one technique across scenes")
     sweep.add_argument("--scenes", nargs="*", choices=list(_RUNNABLE_SCENES))
-    sweep.add_argument("--scale", choices=list(_SCALES), default="default")
+    sweep.add_argument("--scale", choices=list(SCALES), default="default")
     sweep.add_argument("--workload", choices=list(_WORKLOADS),
                        default="render",
                        help="ray workload; with no --scenes, query "
@@ -864,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="trace one run; export Perfetto/Chrome JSON"
     )
     trace.add_argument("scene", choices=list(ALL_SCENES))
-    trace.add_argument("--scale", choices=list(_SCALES), default="default")
+    trace.add_argument("--scale", choices=list(SCALES), default="default")
     trace.add_argument("--out", default="trace.json",
                        help="Chrome trace-event output path")
     trace.add_argument("--report",
@@ -929,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--technique", metavar="SPEC",
                          default="treelet-prefetch",
                          help="technique spec sent with every request")
-    loadgen.add_argument("--scale", choices=list(_SCALES), default="smoke")
+    loadgen.add_argument("--scale", choices=list(SCALES), default="smoke")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="arrival-process RNG seed")
     loadgen.add_argument("--arrival", choices=["poisson", "uniform"],
@@ -1025,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="query workload (default: inferred from the "
                               "scene kind)")
-    queries.add_argument("--scale", choices=list(_SCALES), default="smoke")
+    queries.add_argument("--scale", choices=list(SCALES), default="smoke")
     queries.add_argument("--json", action="store_true",
                          help="print a machine-readable summary")
     _add_technique_args(queries)
@@ -1034,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rend = sub.add_parser("render", help="render a scene frame")
     rend.add_argument("scene", choices=list(ALL_SCENES))
-    rend.add_argument("--scale", choices=list(_SCALES), default="default")
+    rend.add_argument("--scale", choices=list(SCALES), default="default")
     rend.add_argument("--size", type=int, default=48)
     rend.add_argument("--output", help="write a PGM file here")
 

@@ -6,16 +6,17 @@ prefetcher, heuristic, scheduler, voter, treelet size);
 :func:`run_experiment` evaluates it on one scene and returns timing,
 memory, power, and traversal statistics.
 
-All heavyweight intermediate artifacts (built scenes, BVHs, ray
-populations, traces, decompositions) are memoized per process so a
-parameter sweep over one scene pays scene/BVH construction once.
+All heavyweight intermediate artifacts (BVHs, ray populations, traces,
+decompositions, results) go through one two-tier :class:`ArtifactStore`
+(memory, then the optional disk cache), so a parameter sweep over one
+scene pays scene/BVH construction once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bvh import (
     BuildConfig,
@@ -42,6 +43,7 @@ from ..prefetch import (
 )
 from ..obs.spans import span as _span
 from ..scenes import RayGenConfig, build_scene, generate_rays
+from ..scenes import library as _scene_library
 from ..traversal import (
     DEFERRED_ORDERS,
     RayTrace,
@@ -187,15 +189,16 @@ FULL = Scale("full", scene_scale=1.0, width=32, height=32)
 PAPER = Scale("paper", scene_scale=1.0, width=32, height=32)
 
 
+#: Every named scale, by the name the CLI, API and service accept.
+SCALES: Dict[str, Scale] = {
+    scale.name: scale for scale in (SMOKE, DEFAULT, FULL, PAPER)
+}
+
+
 def scale_from_env(default: Scale = DEFAULT) -> Scale:
     """Pick the scale from ``REPRO_SCALE`` (smoke/default/full/paper)."""
     name = os.environ.get("REPRO_SCALE", "").strip().lower()
-    return {
-        "smoke": SMOKE,
-        "default": DEFAULT,
-        "full": FULL,
-        "paper": PAPER,
-    }.get(name, default)
+    return SCALES.get(name, default)
 
 
 #: Trace-generation backends.  Both emit bit-identical ``RayTrace``
@@ -284,37 +287,19 @@ class ExperimentResult:
 # Memoized workload construction.
 # ---------------------------------------------------------------------------
 
-_SCENE_CACHE: Dict[Tuple[str, float], object] = {}
-_BVH_CACHE: Dict[Tuple[str, float], FlatBVH] = {}
-_RAY_CACHE: Dict[Tuple[str, float, int, int, bool, str], List[Ray]] = {}
-_DECOMP_CACHE: Dict[Tuple[str, float, int, str], TreeletDecomposition] = {}
-_TRACE_CACHE: Dict[tuple, List[RayTrace]] = {}
-_RESULT_CACHE: Dict[tuple, ExperimentResult] = {}
-#: Compiled query plans (rays + decode mapping) per
-#: (scene, scene_scale, n_queries, workload).  Compilation is cheap and
-#: deterministic, so plans are process-local only — no disk artifact.
-_QUERY_PLAN_CACHE: Dict[tuple, object] = {}
-
-#: Count of heavyweight artifacts actually *constructed* this process
-#: (in-memory or on-disk cache hits do not count).  The repro.exec
-#: tests assert a warm artifact cache keeps these at zero.
-BUILD_COUNTS: Dict[str, int] = {
-    "scene": 0,
-    "bvh": 0,
-    "rays": 0,
-    "traces": 0,
-    "decomposition": 0,
+#: Artifact kinds the store holds: kind -> (the :data:`BUILD_COUNTS`
+#: entry a construction bumps, whether it spills to the on-disk cache).
+#: A query workload's ray population is its compiled plan: counted as
+#: rays, but cheap and deterministic, so process-local only.  Results
+#: are memory-only and uncounted.
+_KINDS: Dict[str, Tuple[Optional[str], bool]] = {
+    "bvh": ("bvh", True),
+    "rays": ("rays", True),
+    "query_plan": ("rays", False),
+    "decomposition": ("decomposition", True),
+    "traces": ("traces", True),
+    "result": (None, False),
 }
-
-
-def reset_build_counts() -> None:
-    for key in BUILD_COUNTS:
-        BUILD_COUNTS[key] = 0
-
-
-def build_counts() -> Dict[str, int]:
-    """Snapshot of :data:`BUILD_COUNTS` (artifacts constructed so far)."""
-    return dict(BUILD_COUNTS)
 
 
 def _artifact_cache():
@@ -328,36 +313,91 @@ def _artifact_cache():
     return get_artifact_cache()
 
 
-def _cache_components(scene_name: str, scale: Scale) -> Dict[str, object]:
-    """Fingerprint components every derived artifact depends on."""
-    from dataclasses import asdict
+class ArtifactStore:
+    """Two-tier artifact lookup: an unbounded in-memory tier in front of
+    the process-wide on-disk :class:`~repro.exec.cache.ArtifactCache`.
 
-    return {
-        "scene": scene_name,
-        "scene_scale": scale.scene_scale,
-        "build": asdict(DEFAULT_BUILD),
-        "branching": DEFAULT_BRANCHING,
-    }
+    Every artifact is named by one key, the fingerprint of its kind and
+    inputs document (every input it depends on), so it is memoized in
+    memory under exactly the name it is stored under on disk.
+    """
+
+    def __init__(self) -> None:
+        self._memory: Dict[str, Dict[str, object]] = {
+            kind: {} for kind in _KINDS
+        }
+        #: Artifacts actually *constructed* this process (memory or disk
+        #: hits do not count); the scene entry is bumped by
+        #: :func:`get_scene`, whose memo lives in the scene library.
+        self.builds: Dict[str, int] = dict.fromkeys(
+            ("scene", "bvh", "rays", "traces", "decomposition"), 0
+        )
+
+    @staticmethod
+    def key(kind: str, inputs: Dict[str, object]) -> str:
+        from ..exec.cache import fingerprint
+
+        return fingerprint(kind, inputs)
+
+    def lookup(self, kind: str, inputs: Dict[str, object]):
+        """The artifact from memory, else from disk (kept in memory from
+        then on), else None."""
+        key = self.key(kind, inputs)
+        memory = self._memory[kind]
+        artifact = memory.get(key)
+        if artifact is None and _KINDS[kind][1]:
+            cache = _artifact_cache()
+            if cache is not None:
+                artifact = cache.load(kind, key)
+                if artifact is not None:
+                    memory[key] = artifact
+        return artifact
+
+    def put(self, kind: str, inputs: Dict[str, object], artifact):
+        """Record a freshly constructed artifact: count it, spill it to
+        disk, and memoize it.  Returns the memoized artifact (an earlier
+        one wins)."""
+        counter, spilled = _KINDS[kind]
+        if counter is not None:
+            self.builds[counter] += 1
+        key = self.key(kind, inputs)
+        if spilled:
+            cache = _artifact_cache()
+            if cache is not None:
+                cache.store(kind, key, artifact)
+        return self._memory[kind].setdefault(key, artifact)
+
+    def get(self, kind: str, inputs: Dict[str, object], build: Callable):
+        """Memory hit, else disk load, else ``build()`` + :meth:`put`."""
+        artifact = self.lookup(kind, inputs)
+        if artifact is None:
+            artifact = self.put(kind, inputs, build())
+        return artifact
+
+    def clear(self, kind: Optional[str] = None) -> None:
+        """Drop the in-memory tier (one kind, or all); disk survives."""
+        for name, memory in self._memory.items():
+            if kind is None or name == kind:
+                memory.clear()
 
 
-def _raygen_components(
-    scale: Scale, workload: str = "render"
-) -> Dict[str, object]:
-    from dataclasses import asdict
+#: The process-wide store every ``get_*`` helper reads through.
+STORE = ArtifactStore()
 
-    if workload == "render":
-        # Unchanged for render so existing cached artifacts stay valid.
-        return {"raygen": asdict(scale.raygen())}
-    from ..queries.workloads import K_NEIGHBORS
+#: Count of heavyweight artifacts actually *constructed* this process
+#: (in-memory or on-disk cache hits do not count).  The repro.exec
+#: tests assert a warm artifact cache keeps these at zero.
+BUILD_COUNTS: Dict[str, int] = STORE.builds
 
-    return {
-        "workload": workload,
-        "queries": {
-            "count": scale.width * scale.height,
-            "k": K_NEIGHBORS if workload == "knn" else 0,
-            "version": 1,
-        },
-    }
+
+def reset_build_counts() -> None:
+    for key in BUILD_COUNTS:
+        BUILD_COUNTS[key] = 0
+
+
+def build_counts() -> Dict[str, int]:
+    """Snapshot of :data:`BUILD_COUNTS` (artifacts constructed so far)."""
+    return dict(BUILD_COUNTS)
 
 
 #: Build parameters matching Embree's *effective* shape: the node format
@@ -368,39 +408,105 @@ DEFAULT_BUILD = BuildConfig(max_leaf_size=2)
 DEFAULT_BRANCHING = 3
 
 
+def _scene_inputs(scene_name: str, scale: Scale) -> Dict[str, object]:
+    """Inputs every derived artifact depends on."""
+    return {
+        "scene": scene_name,
+        "scene_scale": scale.scene_scale,
+        "build": asdict(DEFAULT_BUILD),
+        "branching": DEFAULT_BRANCHING,
+    }
+
+
+def _ray_inputs(
+    scene_name: str, scale: Scale, workload: str = "render"
+) -> Dict[str, object]:
+    """:func:`_scene_inputs` plus the ray population's parameters."""
+    inputs = _scene_inputs(scene_name, scale)
+    if workload == "render":
+        # Unchanged for render so existing cached artifacts stay valid.
+        inputs["raygen"] = asdict(scale.raygen())
+        return inputs
+    from ..queries.workloads import K_NEIGHBORS
+
+    inputs["workload"] = workload
+    inputs["queries"] = {
+        "count": scale.width * scale.height,
+        "k": K_NEIGHBORS if workload == "knn" else 0,
+        "version": 1,
+    }
+    return inputs
+
+
+def _decomposition_inputs(
+    scene_name: str, scale: Scale, treelet_bytes: int, strategy: str
+) -> Dict[str, object]:
+    inputs = _scene_inputs(scene_name, scale)
+    inputs["treelet_bytes"] = treelet_bytes
+    inputs["formation"] = strategy
+    return inputs
+
+
+def _trace_inputs(
+    scene_name: str,
+    scale: Scale,
+    traversal: str,
+    treelet_bytes: int,
+    deferred_order: str,
+    formation: str,
+    workload: str = "render",
+) -> Dict[str, object]:
+    """Inputs of one trace set.  Deliberately backend-agnostic: both
+    backends produce bit-identical traces, so an entry is valid
+    whichever backend built it."""
+    inputs = _ray_inputs(scene_name, scale, workload)
+    inputs["traversal"] = traversal
+    if traversal == "treelet":
+        inputs["treelet_bytes"] = treelet_bytes
+        inputs["deferred_order"] = deferred_order
+        inputs["formation"] = formation
+    return inputs
+
+
+def result_inputs(
+    scene_name: str,
+    technique: Technique,
+    scale: Scale,
+    workload: str = "render",
+) -> Dict[str, object]:
+    """Inputs of one memoized :func:`_run_experiment` result; also the
+    identity :class:`repro.exec.Job` deduplicates and seeds under."""
+    return {
+        "scene": scene_name,
+        "technique": asdict(technique),
+        "scale": scale.name,
+        "workload": workload,
+    }
+
+
 def get_scene(scene_name: str, scale: Scale):
-    """The built scene, memoized per (name, scale) like every other
-    artifact so one (scene, scale) pays construction exactly once."""
+    """The built scene.  The scene library's memo, which direct
+    :func:`build_scene` callers share, is the only scene memo, so a
+    construction is counted exactly when it misses."""
     key = (scene_name, scale.scene_scale)
-    if key not in _SCENE_CACHE:
+    scene = _scene_library._SCENE_CACHE.get(key)
+    if scene is None:
+        scene = build_scene(*key)
         BUILD_COUNTS["scene"] += 1
-        _SCENE_CACHE[key] = build_scene(scene_name, scale.scene_scale)
-    return _SCENE_CACHE[key]
+    return scene
 
 
 def get_bvh(scene_name: str, scale: Scale) -> FlatBVH:
-    key = (scene_name, scale.scene_scale)
-    if key not in _BVH_CACHE:
-        cache = _artifact_cache()
-        bvh = None
-        fingerprint = None
-        if cache is not None:
-            fingerprint = cache.fingerprint(
-                "bvh", _cache_components(scene_name, scale)
-            )
-            bvh = cache.load("bvh", fingerprint)
-        if bvh is None:
-            BUILD_COUNTS["bvh"] += 1
-            bvh = build_wide_bvh(
-                get_scene(scene_name, scale).mesh.triangles(),
-                config=DEFAULT_BUILD,
-                branching_factor=DEFAULT_BRANCHING,
-                name=scene_name,
-            )
-            if cache is not None:
-                cache.store("bvh", fingerprint, bvh)
-        _BVH_CACHE[key] = bvh
-    return _BVH_CACHE[key]
+    return STORE.get(
+        "bvh",
+        _scene_inputs(scene_name, scale),
+        lambda: build_wide_bvh(
+            get_scene(scene_name, scale).mesh.triangles(),
+            config=DEFAULT_BUILD,
+            branching_factor=DEFAULT_BRANCHING,
+            name=scene_name,
+        ),
+    )
 
 
 def get_query_plan(scene_name: str, scale: Scale, workload: str):
@@ -415,13 +521,13 @@ def get_query_plan(scene_name: str, scale: Scale, workload: str):
     """
     from ..queries import compile_queries
 
-    n_queries = scale.width * scale.height
-    key = (scene_name, scale.scene_scale, n_queries, workload)
-    if key not in _QUERY_PLAN_CACHE:
-        BUILD_COUNTS["rays"] += 1
-        scene = get_scene(scene_name, scale)
-        _QUERY_PLAN_CACHE[key] = compile_queries(scene, workload, n_queries)
-    return _QUERY_PLAN_CACHE[key]
+    return STORE.get(
+        "query_plan",
+        _ray_inputs(scene_name, scale, workload),
+        lambda: compile_queries(
+            get_scene(scene_name, scale), workload, scale.width * scale.height
+        ),
+    )
 
 
 def get_rays(
@@ -429,33 +535,15 @@ def get_rays(
 ) -> List[Ray]:
     if workload != "render":
         return get_query_plan(scene_name, scale, workload).rays
-    key = (
-        scene_name,
-        scale.scene_scale,
-        scale.width,
-        scale.height,
-        scale.secondary,
-        workload,
+    return STORE.get(
+        "rays",
+        _ray_inputs(scene_name, scale),
+        lambda: generate_rays(
+            get_scene(scene_name, scale).camera,
+            get_bvh(scene_name, scale),
+            scale.raygen(),
+        ),
     )
-    if key not in _RAY_CACHE:
-        cache = _artifact_cache()
-        rays = None
-        fingerprint = None
-        if cache is not None:
-            components = _cache_components(scene_name, scale)
-            components.update(_raygen_components(scale))
-            fingerprint = cache.fingerprint("rays", components)
-            rays = cache.load("rays", fingerprint)
-        if rays is None:
-            BUILD_COUNTS["rays"] += 1
-            bvh = get_bvh(scene_name, scale)
-            rays = generate_rays(
-                get_scene(scene_name, scale).camera, bvh, scale.raygen()
-            )
-            if cache is not None:
-                cache.store("rays", fingerprint, rays)
-        _RAY_CACHE[key] = rays
-    return _RAY_CACHE[key]
 
 
 def get_decomposition(
@@ -464,73 +552,21 @@ def get_decomposition(
     treelet_bytes: int,
     strategy: str = "bfs",
 ) -> TreeletDecomposition:
-    key = (scene_name, scale.scene_scale, treelet_bytes, strategy)
-    if key not in _DECOMP_CACHE:
-        cache = _artifact_cache()
-        decomposition = None
-        fingerprint = None
-        if cache is not None:
-            components = _cache_components(scene_name, scale)
-            components["treelet_bytes"] = treelet_bytes
-            components["formation"] = strategy
-            fingerprint = cache.fingerprint("decomposition", components)
-            decomposition = cache.load("decomposition", fingerprint)
-        if decomposition is None:
-            BUILD_COUNTS["decomposition"] += 1
-            decomposition = form_treelets(
-                get_bvh(scene_name, scale), treelet_bytes, strategy
-            )
-            if cache is not None:
-                cache.store("decomposition", fingerprint, decomposition)
-        _DECOMP_CACHE[key] = decomposition
-    return _DECOMP_CACHE[key]
-
-
-def _trace_key(
-    scene_name: str,
-    scale: Scale,
-    traversal: str,
-    treelet_bytes: int,
-    deferred_order: str,
-    formation: str,
-    workload: str = "render",
-) -> tuple:
-    """Memoizer key for one trace set.  Deliberately backend-agnostic:
-    both backends produce bit-identical traces, so a cache entry is
-    valid whichever backend built it."""
-    return (
-        scene_name,
-        scale.scene_scale,
-        scale.width,
-        scale.height,
-        scale.secondary,
-        traversal,
-        treelet_bytes if traversal == "treelet" else 0,
-        deferred_order if traversal == "treelet" else "",
-        formation if traversal == "treelet" else "",
-        workload,
+    return STORE.get(
+        "decomposition",
+        _decomposition_inputs(scene_name, scale, treelet_bytes, strategy),
+        lambda: form_treelets(
+            get_bvh(scene_name, scale), treelet_bytes, strategy
+        ),
     )
 
 
-def _trace_fingerprint(
-    cache,
-    scene_name: str,
-    scale: Scale,
-    traversal: str,
-    treelet_bytes: int,
-    deferred_order: str,
-    formation: str,
-    workload: str = "render",
-) -> str:
-    """On-disk fingerprint for one trace set (backend-agnostic too)."""
-    components = _cache_components(scene_name, scale)
-    components.update(_raygen_components(scale, workload))
-    components["traversal"] = traversal
-    if traversal == "treelet":
-        components["treelet_bytes"] = treelet_bytes
-        components["deferred_order"] = deferred_order
-        components["formation"] = formation
-    return cache.fingerprint("traces", components)
+def _check_trace_backend(backend: Optional[str]) -> str:
+    if backend is None:
+        return trace_backend_from_env()
+    if backend not in TRACE_BACKENDS:
+        raise ValueError(f"unknown trace backend {backend!r}")
+    return backend
 
 
 def get_traces(
@@ -548,58 +584,42 @@ def get_traces(
     ``backend`` selects how the traces are generated — "vectorized"
     (numpy packet driver, the default via ``REPRO_TRACE_BACKEND``) or
     "scalar" (the pure-Python oracle).  The two are bit-identical, so
-    neither the memoizer key nor the artifact-cache fingerprint
-    includes the backend.  ``workload`` selects the ray population:
-    "render" (camera + secondary) or a query workload compiled by
-    :mod:`repro.queries`; traces come back in ray-population order, so
-    query decode can map them positionally.
+    the store key does not include the backend.  ``workload`` selects
+    the ray population: "render" (camera + secondary) or a query
+    workload compiled by :mod:`repro.queries`; traces come back in
+    ray-population order, so query decode can map them positionally.
     """
-    key = _trace_key(
-        scene_name, scale, traversal, treelet_bytes, deferred_order,
-        formation, workload,
-    )
-    if key not in _TRACE_CACHE:
-        if backend is None:
-            backend = trace_backend_from_env()
-        elif backend not in TRACE_BACKENDS:
-            raise ValueError(f"unknown trace backend {backend!r}")
-        cache = _artifact_cache()
-        traces = None
-        fingerprint = None
-        if cache is not None:
-            fingerprint = _trace_fingerprint(
-                cache, scene_name, scale, traversal, treelet_bytes,
-                deferred_order, formation, workload,
+    backend = _check_trace_backend(backend)
+
+    def build() -> List[RayTrace]:
+        bvh = get_bvh(scene_name, scale)
+        rays = [
+            ray.clone() for ray in get_rays(scene_name, scale, workload)
+        ]
+        vectorized = backend == "vectorized"
+        if traversal == "dfs":
+            if vectorized:
+                return traverse_dfs_packet(rays, bvh)
+            return traverse_dfs_batch(rays, bvh)
+        decomposition = get_decomposition(
+            scene_name, scale, treelet_bytes, formation
+        )
+        if vectorized:
+            return traverse_two_stack_packet(
+                rays, bvh, decomposition, deferred_order
             )
-            traces = cache.load("traces", fingerprint)
-        if traces is None:
-            BUILD_COUNTS["traces"] += 1
-            bvh = get_bvh(scene_name, scale)
-            rays = [
-                ray.clone()
-                for ray in get_rays(scene_name, scale, workload)
-            ]
-            if traversal == "dfs":
-                if backend == "vectorized":
-                    traces = traverse_dfs_packet(rays, bvh)
-                else:
-                    traces = traverse_dfs_batch(rays, bvh)
-            else:
-                decomposition = get_decomposition(
-                    scene_name, scale, treelet_bytes, formation
-                )
-                if backend == "vectorized":
-                    traces = traverse_two_stack_packet(
-                        rays, bvh, decomposition, deferred_order
-                    )
-                else:
-                    traces = traverse_two_stack_batch(
-                        rays, bvh, decomposition, deferred_order
-                    )
-            if cache is not None:
-                cache.store("traces", fingerprint, traces)
-        _TRACE_CACHE[key] = traces
-    return _TRACE_CACHE[key]
+        return traverse_two_stack_batch(
+            rays, bvh, decomposition, deferred_order
+        )
+
+    return STORE.get(
+        "traces",
+        _trace_inputs(
+            scene_name, scale, traversal, treelet_bytes, deferred_order,
+            formation, workload,
+        ),
+        build,
+    )
 
 
 def prewarm_traces(
@@ -617,53 +637,41 @@ def prewarm_traces(
     so the fixed per-iteration numpy dispatch cost is paid once for the
     whole batch instead of once per (scene, technique) — this is the
     fast path sweeps use before assembling results.  Results land in
-    the in-process memoizer and the artifact cache exactly as if
-    :func:`get_traces` had produced them one by one (they are
-    bit-identical).  Returns the number of trace sets actually built.
+    the store exactly as if :func:`get_traces` had produced them one by
+    one (they are bit-identical).  Returns the number of trace sets
+    actually built.
     """
-    if backend is None:
-        backend = trace_backend_from_env()
-    elif backend not in TRACE_BACKENDS:
-        raise ValueError(f"unknown trace backend {backend!r}")
-    specs: Dict[tuple, tuple] = {}
+    backend = _check_trace_backend(backend)
+    specs: Dict[str, tuple] = {}
     for pair in pairs:
         scene_name, technique = pair[0], pair[1]
         workload = pair[2] if len(pair) > 2 else "render"
-        if technique.traversal == "treelet":
-            spec = (
-                scene_name,
-                "treelet",
-                technique.treelet_bytes,
-                technique.deferred_order,
-                technique.formation,
-                workload,
-            )
-        else:
-            spec = (scene_name, "dfs", 0, "nearest", "bfs", workload)
-        specs.setdefault(_trace_key(spec[0], scale, *spec[1:]), spec)
-    cache = _artifact_cache()
-    missing: List[tuple] = []
-    for key, spec in specs.items():
-        if key in _TRACE_CACHE:
-            continue
-        if cache is not None:
-            fingerprint = _trace_fingerprint(cache, spec[0], scale, *spec[1:])
-            traces = cache.load("traces", fingerprint)
-            if traces is not None:
-                _TRACE_CACHE[key] = traces
-                continue
-        missing.append((key, spec))
+        spec = (
+            scene_name,
+            technique.traversal,
+            technique.treelet_bytes,
+            technique.deferred_order,
+            technique.formation,
+            workload,
+        )
+        inputs = _trace_inputs(spec[0], scale, *spec[1:])
+        specs.setdefault(STORE.key("traces", inputs), (spec, inputs))
+    missing = [
+        (spec, inputs)
+        for spec, inputs in specs.values()
+        if STORE.lookup("traces", inputs) is None
+    ]
     if not missing:
         return 0
     if backend != "vectorized":
-        for _, spec in missing:
+        for spec, _ in missing:
             get_traces(
                 spec[0], scale, *spec[1:-1], backend=backend,
                 workload=spec[-1],
             )
         return len(missing)
     jobs = []
-    for _, spec in missing:
+    for spec, _ in missing:
         scene_name, traversal, treelet_bytes, order, formation, workload = spec
         bvh = get_bvh(scene_name, scale)
         rays = [
@@ -676,28 +684,20 @@ def prewarm_traces(
         )
         jobs.append((bvh, rays, decomposition, order))
     outputs = traverse_forest_jobs(jobs)
-    for (key, spec), traces in zip(missing, outputs):
-        BUILD_COUNTS["traces"] += 1
-        _TRACE_CACHE[key] = traces
-        if cache is not None:
-            fingerprint = _trace_fingerprint(cache, spec[0], scale, *spec[1:])
-            cache.store("traces", fingerprint, traces)
+    for (_, inputs), traces in zip(missing, outputs):
+        STORE.put("traces", inputs, traces)
     return len(missing)
 
 
 def clear_caches() -> None:
     """Drop all memoized workload artifacts (tests use this).
 
-    Only in-memory memoizers are dropped; the on-disk artifact cache
-    (:mod:`repro.exec.cache`), when active, survives and reloads them.
+    Only the in-memory tier and the scene library's memo are dropped;
+    the on-disk artifact cache (:mod:`repro.exec.cache`), when active,
+    survives and reloads them.
     """
-    _SCENE_CACHE.clear()
-    _BVH_CACHE.clear()
-    _RAY_CACHE.clear()
-    _DECOMP_CACHE.clear()
-    _TRACE_CACHE.clear()
-    _RESULT_CACHE.clear()
-    _QUERY_PLAN_CACHE.clear()
+    STORE.clear()
+    _scene_library._SCENE_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -831,17 +831,16 @@ def _run_experiment(
     sees a real simulation; attaching it does not change the results).
     ``replay_backend`` picks the replay engine ("batched"/"scalar");
     None defers to :func:`replay_backend_from_env` and then the
-    :class:`GpuConfig` default.  Engines are bit-identical, so the
-    result memoizer and every artifact-cache fingerprint deliberately
-    ignore the backend — a memoized result satisfies any backend.
-    ``workload`` picks the ray population ("render" or a
-    :mod:`repro.queries` workload) and is part of the memoizer key.
+    :class:`GpuConfig` default.  Engines are bit-identical, so no
+    store key includes the backend — a memoized result satisfies any
+    backend.  ``workload`` picks the ray population ("render" or a
+    :mod:`repro.queries` workload) and is part of the result key.
     """
     if workload != "render":
         from ..queries.workloads import check_scene_workload
 
         check_scene_workload(scene_name, workload)
-    cache_key = (scene_name, technique, scale.name, workload)
+    inputs = result_inputs(scene_name, technique, scale, workload)
     memoizable = use_cache and gpu_config is None and observer is None
     if replay_backend is None:
         replay_backend = replay_backend_from_env()
@@ -850,11 +849,11 @@ def _run_experiment(
     with _span(
         "phase.cache_lookup", scene=scene_name, technique=technique.label()
     ) as lookup:
-        hit = memoizable and cache_key in _RESULT_CACHE
+        hit = STORE.lookup("result", inputs) if memoizable else None
         if lookup is not None:
-            lookup.args["hit"] = hit
-    if hit:
-        return _RESULT_CACHE[cache_key]
+            lookup.args["hit"] = hit is not None
+    if hit is not None:
+        return hit
     gpu = gpu_config or scale.gpu_config()
     with _span("phase.scene_build", scene=scene_name, scale=scale.name):
         bvh = get_bvh(scene_name, scale)
@@ -901,7 +900,7 @@ def _run_experiment(
         treelet_count=decomposition.treelet_count if decomposition else 0,
     )
     if memoizable:
-        _RESULT_CACHE[cache_key] = result
+        result = STORE.put("result", inputs, result)
     return result
 
 

@@ -40,7 +40,6 @@ from .executor import (
     metrics_progress,
     prewarm_replay_jobs,
     prewarm_replays,
-    prewarm_results,
     run_sweep_parallel,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "metrics_progress",
     "prewarm_replay_jobs",
     "prewarm_replays",
-    "prewarm_results",
     "run_sweep_parallel",
     "set_artifact_cache",
 ]

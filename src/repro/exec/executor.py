@@ -33,10 +33,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..core.pipeline import (
     BASELINE,
     DEFAULT,
+    STORE,
     ExperimentResult,
     Scale,
     Technique,
     _run_experiment,
+    result_inputs,
 )
 from ..obs import spans as _spans
 from .cache import get_artifact_cache, set_artifact_cache
@@ -51,10 +53,14 @@ class Job:
     scale: Scale
     workload: str = "render"
 
-    def key(self):
-        # Must stay in lockstep with _run_experiment's memoizer key:
-        # prewarm helpers seed pipeline._RESULT_CACHE through it.
-        return (self.scene, self.technique, self.scale.name, self.workload)
+    def inputs(self) -> dict:
+        """The result memo's inputs for this job (as _run_experiment's)."""
+        return result_inputs(
+            self.scene, self.technique, self.scale, self.workload
+        )
+
+    def key(self) -> str:
+        return STORE.key("result", self.inputs())
 
 
 #: progress callback signature: (done, total, job, source) where source
@@ -133,7 +139,7 @@ def _run_job_traced(job: Job, ctx_dict: dict):
 
 
 def _mp_context():
-    """Fork when the platform has it (fast, inherits warm memoizers);
+    """Fork when the platform has it (fast, inherits the warm store);
     spawn otherwise.  ``REPRO_MP_START`` overrides."""
     import multiprocessing
 
@@ -295,29 +301,6 @@ def execute_jobs(
     return [results[job.key()] for job in jobs]
 
 
-def prewarm_results(
-    techniques: Iterable[Technique],
-    scenes: Iterable[str],
-    scale: Scale = DEFAULT,
-    jobs: int = 1,
-    **options,
-) -> List[ExperimentResult]:
-    """Evaluate every (scene, technique) pair and seed the in-process
-    result memoizer, so subsequent serial code (sweep assembly, report
-    loops, benchmarks) hits memory instead of re-simulating."""
-    from ..core import pipeline
-
-    batch = [
-        Job(scene=scene, technique=technique, scale=scale)
-        for technique in techniques
-        for scene in scenes
-    ]
-    results = execute_jobs(batch, workers=jobs, **options)
-    for job, result in zip(batch, results):
-        pipeline._RESULT_CACHE.setdefault(job.key(), result)
-    return results
-
-
 def prewarm_replay_jobs(
     jobs: Sequence[Job],
     workers: int,
@@ -328,13 +311,13 @@ def prewarm_replay_jobs(
     Trace generation is hoisted into the parent first — one
     :func:`repro.core.pipeline.prewarm_traces` call per distinct scale,
     so every missing trace set rides the vectorized forest driver once.
-    Fork-started workers then inherit the warm trace memoizer and spend
+    Fork-started workers then inherit the warm artifact store and spend
     their time purely on simulation replay (spawn-started workers reload
     the traces from the shared artifact cache when one is active).
-    Results seed the in-process result memoizer exactly like
-    :func:`prewarm_results`, and ``options`` passes through to
-    :func:`execute_jobs` (progress/metrics/timeouts/span shipping — the
-    deterministic merge and fallback semantics are unchanged).
+    Results seed the in-process result memo, and ``options`` passes
+    through to :func:`execute_jobs` (progress/metrics/timeouts/span
+    shipping — the deterministic merge and fallback semantics are
+    unchanged).
     """
     from ..core import pipeline
 
@@ -348,7 +331,7 @@ def prewarm_replay_jobs(
         pipeline.prewarm_traces(pairs, scale)
     results = execute_jobs(jobs, workers=workers, **options)
     for job, result in zip(jobs, results):
-        pipeline._RESULT_CACHE.setdefault(job.key(), result)
+        STORE.put("result", job.inputs(), result)
     return results
 
 
@@ -360,10 +343,12 @@ def prewarm_replays(
     workload: str = "render",
     **options,
 ) -> List[ExperimentResult]:
-    """:func:`prewarm_results` with the replay phase fanned out: traces
-    for every (scene, technique) pair are batch-generated in the parent
-    (one vectorized forest pass), then the replays fan across ``jobs``
-    worker processes and seed the in-process result memoizer."""
+    """Evaluate every (scene, technique) pair and seed the in-process
+    result memo, so subsequent serial code (sweep assembly, report
+    loops, benchmarks) hits memory instead of re-simulating.  Traces
+    for every pair are batch-generated in the parent (one vectorized
+    forest pass), then the replays fan across ``jobs`` worker
+    processes."""
     batch = [
         Job(scene=scene, technique=technique, scale=scale, workload=workload)
         for technique in techniques

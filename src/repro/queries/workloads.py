@@ -9,7 +9,6 @@ workload names without pulling in numpy-heavy modules.
 
 from __future__ import annotations
 
-from difflib import get_close_matches
 from typing import Tuple
 
 #: Every workload an experiment can replay.
@@ -25,17 +24,15 @@ WORKLOAD_SCENE_KIND = {"knn": "points", "containment": "amr"}
 K_NEIGHBORS = 8
 
 
-def _suggest(name: str, candidates) -> str:
-    matches = get_close_matches(name, list(candidates), n=1, cutoff=0.6)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
-
-
 def validate_workload(name: str) -> str:
     """Return ``name`` if it is a known workload, else raise ValueError
     with a near-miss suggestion."""
     if not isinstance(name, str):
         raise ValueError(f"workload must be a string, got {type(name).__name__}")
     if name not in WORKLOADS:
+        # Imported on the error path only: the registry stays light.
+        from ..api.techniques import _suggest
+
         raise ValueError(
             f"unknown workload {name!r}{_suggest(name, WORKLOADS)} "
             f"(known: {', '.join(WORKLOADS)})"

@@ -5,12 +5,11 @@ The service layers three caches:
 1. this LRU — finished **result documents** keyed by normalized
    request, served straight from the HTTP handler in microseconds
    without touching the scheduler;
-2. the in-process result memoizer
-   (``repro.core.pipeline._RESULT_CACHE``) — ``ExperimentResult``
-   objects, hit when a new document must be built for artifacts that
-   were already simulated;
-3. the on-disk :class:`repro.exec.ArtifactCache` — BVHs, rays, traces,
-   shared across restarts and worker processes.
+2. the pipeline's artifact store (``repro.core.pipeline.STORE``), whose
+   memory tier holds ``ExperimentResult`` objects, hit when a new
+   document must be built for artifacts that were already simulated;
+3. the store's disk tier, :class:`repro.exec.ArtifactCache` — BVHs,
+   rays, traces, shared across restarts and worker processes.
 
 Entries are bounded (strict LRU eviction) so a long-running service
 has a fixed memory ceiling regardless of how many distinct requests it

@@ -284,21 +284,13 @@ class SubmitRequest:
         )
 
 
-def _scales():
-    from ..core.pipeline import DEFAULT, FULL, PAPER, SMOKE
-
-    return {"smoke": SMOKE, "default": DEFAULT, "full": FULL, "paper": PAPER}
-
-
 def _coerce_scale(name) -> Scale:
-    if isinstance(name, Scale):
-        return name
-    scales = _scales()
+    from ..api.facade import _coerce_scale as coerce
+
     try:
-        return scales[str(name).strip().lower()]
-    except KeyError:
-        known = ", ".join(scales)
-        raise ServeError(400, f"unknown scale {name!r} (known: {known})")
+        return coerce(name)
+    except ValueError as exc:
+        raise ServeError(400, str(exc))
 
 
 def _coerce_technique(spec) -> Technique:
@@ -401,7 +393,7 @@ class RunSpec:
 
         Artifacts and (usually) the experiment itself are already warm:
         the scheduler prewarms traces for the whole batch and, with a
-        worker pool, seeds the result memoizer before this is called.
+        worker pool, seeds the result memo before this is called.
         """
         from ..api import run as api_run
 

@@ -12,8 +12,8 @@ executes it as one batch:
    ``traverse_forest_jobs`` packet stream;
 2. with ``workers > 1`` the simulation replays fan across the
    :mod:`repro.exec` process pool (one :func:`execute_jobs` call for
-   the whole batch, deduplicated), seeding the in-process result
-   memoizer;
+   the whole batch, deduplicated), seeding the in-process artifact
+   store;
 3. each job's result document is then assembled from warm results.
 
 Threading model: the scheduler loop and all job state transitions run
@@ -21,7 +21,7 @@ on the service's asyncio event loop; the batch body runs in a single
 dedicated worker thread (so the HTTP handlers stay responsive), and
 hands each finished outcome back to the loop with
 ``call_soon_threadsafe``.  One batch executes at a time, so the
-pipeline's plain-dict memoizers are never touched concurrently.
+pipeline's artifact store is never touched concurrently.
 """
 
 from __future__ import annotations
@@ -339,10 +339,10 @@ class MicroBatchScheduler:
 
     def _prewarm_pool(self, batch: List[JobRecord]) -> None:
         """Fan the batch's simulation replays across the repro.exec
-        process pool and seed the in-process result memoizer.
+        process pool and seed the in-process result memo.
 
         :func:`~repro.exec.executor.prewarm_replay_jobs` re-checks the
-        trace memoizer (a no-op after :meth:`_prewarm`) and does the
+        artifact store (a no-op after :meth:`_prewarm`) and does the
         pool fan-out plus result seeding in one call."""
         from ..exec.executor import prewarm_replay_jobs
 

@@ -22,7 +22,7 @@ from repro.core import (
     run_experiment,
     run_sweep,
 )
-from repro.core.pipeline import get_traces
+from repro.core.pipeline import STORE, get_traces
 from repro.exec import (
     ArtifactCache,
     CACHE_SCHEMA_VERSION,
@@ -30,7 +30,7 @@ from repro.exec import (
     Job,
     execute_jobs,
     get_artifact_cache,
-    prewarm_results,
+    prewarm_replays,
     set_artifact_cache,
 )
 from repro.exec.executor import _run_job
@@ -339,16 +339,11 @@ class TestParallelSweeps:
         )
 
     def test_prewarm_seeds_result_memoizer(self):
-        from repro.core import pipeline
-
-        prewarm_results([BASELINE], ["WKND"], SMOKE, jobs=1)
-        key = ("WKND", BASELINE, SMOKE.name, "render")
-        assert key in pipeline._RESULT_CACHE
+        prewarm_replays([BASELINE], ["WKND"], SMOKE, jobs=1)
+        seeded = STORE.lookup("result", Job("WKND", BASELINE, SMOKE).inputs())
+        assert seeded is not None
         # The follow-up serial call is a pure memo lookup.
-        assert (
-            run_experiment("WKND", BASELINE, SMOKE)
-            is pipeline._RESULT_CACHE[key]
-        )
+        assert run_experiment("WKND", BASELINE, SMOKE) is seeded
 
     def test_workers_share_disk_cache(self, tmp_path):
         cache = set_artifact_cache(tmp_path)

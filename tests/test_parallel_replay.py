@@ -16,7 +16,7 @@ import pytest
 from repro import BASELINE, SMOKE, TREELET_PREFETCH
 from repro.api import run, sweep
 from repro.core import clear_caches
-from repro.core.pipeline import reset_build_counts
+from repro.core.pipeline import STORE, build_counts, reset_build_counts
 from repro.exec import (
     ExecutionReport,
     Job,
@@ -98,21 +98,17 @@ class TestReplayFanoutDeterminism:
         """The fan-out hoists trace generation: after the call the
         parent's trace memoizer is warm for every pair, so follow-up
         serial evaluations rebuild nothing."""
-        from repro.core import pipeline
-
         prewarm_replays(TECHNIQUES, SCENES, SMOKE, jobs=2)
-        before = dict(pipeline.BUILD_COUNTS)
+        before = build_counts()
         for scene in SCENES:
             for technique in TECHNIQUES:
                 run(scene, technique, SMOKE)
-        assert pipeline.BUILD_COUNTS == before  # pure memo lookups
+        assert build_counts() == before  # pure memo lookups
 
     def test_prewarm_replay_jobs_seeds_result_memoizer(self):
-        from repro.core import pipeline
-
-        jobs = [Job("WKND", BASELINE, SMOKE)]
-        prewarm_replay_jobs(jobs, workers=1)
-        assert jobs[0].key() in pipeline._RESULT_CACHE
+        job = Job("WKND", BASELINE, SMOKE)
+        prewarm_replay_jobs([job], workers=1)
+        assert STORE.lookup("result", job.inputs()) is not None
 
 
 class TestReplayWorkerCrash:

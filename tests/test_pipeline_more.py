@@ -8,10 +8,11 @@ import pytest
 from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique, run_experiment
 from repro.cli import main
 from repro.core.pipeline import (
-    _BVH_CACHE,
-    _RESULT_CACHE,
+    STORE,
+    _scene_inputs,
     clear_caches,
     get_bvh,
+    result_inputs,
 )
 
 
@@ -19,9 +20,18 @@ class TestCacheClearing:
     def test_clear_caches_drops_everything(self):
         get_bvh("WKND", SMOKE)
         run_experiment("WKND", BASELINE, SMOKE)
-        assert _BVH_CACHE and _RESULT_CACHE
+
+        def memoized():
+            return (
+                STORE.lookup("bvh", _scene_inputs("WKND", SMOKE)),
+                STORE.lookup(
+                    "result", result_inputs("WKND", BASELINE, SMOKE)
+                ),
+            )
+
+        assert all(memoized())
         clear_caches()
-        assert not _BVH_CACHE and not _RESULT_CACHE
+        assert not any(memoized())
         # And everything rebuilds cleanly afterwards.
         result = run_experiment("WKND", BASELINE, SMOKE)
         assert result.cycles > 0

@@ -332,9 +332,9 @@ class TestBackendEndToEnd:
             TREELET_PREFETCH.treelet_bytes,
             TREELET_PREFETCH.deferred_order, TREELET_PREFETCH.formation,
         )
-        # Drop only the trace memoizer: the scene's ray list (and its
+        # Drop only the memoized traces: the scene's ray list (and its
         # globally-counted ray ids) must stay identical for the rebuild.
-        pipeline._TRACE_CACHE.clear()
+        pipeline.STORE.clear("traces")
         cold = get_traces(
             "WKND", SMOKE, TREELET_PREFETCH.traversal,
             TREELET_PREFETCH.treelet_bytes,
