@@ -87,6 +87,17 @@ class TestBuildBasics:
         with pytest.raises(ValueError):
             build_binary_bvh([tri, tri])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_vertex_rejected(self, bad):
+        tris = make_triangles(12)
+        t = tris[7]
+        tris[7] = Triangle(t.v0, (t.v1[0], bad, t.v1[2]), t.v2,
+                           t.primitive_id)
+        with pytest.raises(ValueError, match=f"primitive_id {t.primitive_id} "
+                                             "has a non-finite"):
+            build_binary_bvh(tris)
+
 
 class TestDegenerateInputs:
     def test_all_coincident_centroids_terminates(self):
