@@ -12,6 +12,16 @@ import json
 
 import pytest
 
+from golden_replay import (
+    OBS_CASES,
+    build_model,
+    events_record,
+    golden_events,
+    golden_simstats,
+    observed_run,
+    skip_unless_pinned_geometry,
+    stats_record,
+)
 from repro import BASELINE, SMOKE, TREELET_PREFETCH, run_experiment
 from repro.cli import main
 from repro.obs import Observer, build_run_report, to_chrome_trace
@@ -35,6 +45,20 @@ class TestObserverInvariance:
         assert dataclasses.asdict(traced.stats) == dataclasses.asdict(
             plain.stats
         )
+
+    @pytest.mark.parametrize("key", OBS_CASES)
+    def test_event_stream_matches_golden(self, key):
+        """The delivered event multiset is pinned by
+        ``tests/golden/obs_events.json``; observing changes no field of
+        ``SimStats``; every DRAM request is reported exactly once."""
+        skip_unless_pinned_geometry(key)
+        model, _, _, _ = build_model(key)
+        plain = stats_record(model.run())
+        stats, _, delivered = observed_run(key)
+        assert stats_record(stats) == plain == golden_simstats(key)
+        record = events_record(delivered)
+        assert record == golden_events(key)
+        assert record["kinds"]["dram.service"] == stats.dram_accesses
 
     def test_metrics_agree_with_stats(self):
         _, traced, observer = _observed_pair("WKND", TREELET_PREFETCH)

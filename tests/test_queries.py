@@ -10,6 +10,12 @@ serve wire protocol, and the CLI surface.
 import numpy as np
 import pytest
 
+from golden_replay import (
+    golden_simstats,
+    query_key,
+    skip_unless_pinned_geometry,
+    stats_record,
+)
 from repro.core import pipeline
 from repro.core.pipeline import BASELINE, SMOKE, TREELET_PREFETCH
 from repro.queries import (
@@ -231,6 +237,9 @@ class TestPipelineIntegration:
                 workload=workload, replay_backend=backend,
             )
             cycles[backend] = result.cycles
+            key = query_key(scene_name, workload, "treelet-prefetch")
+            skip_unless_pinned_geometry(key)
+            assert stats_record(result.stats) == golden_simstats(key)
         assert cycles["batched"] == cycles["scalar"]
 
 

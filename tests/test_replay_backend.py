@@ -1,13 +1,13 @@
-"""Golden bit-identity suite for the replay engines (the PR's contract).
+"""Golden bit-identity suite for the replay engines.
 
-The batched event-engine and the scalar per-cycle oracle must produce
-bit-identical ``SimStats`` — every counter, every rate — on every scene,
-scheduler policy, prefetch technique preset, and fast-forward setting.
-The batched engine may reorganize *how* work is simulated (time buckets,
-per-unit test FIFOs, fused memory callbacks) but never *what* happens in
-any cycle.
+Every case compares a live replay, field for field, with the
+``SimStats`` recorded in ``tests/golden/simstats.json`` (see
+``tests/golden_replay.py``): every scene, scheduler policy, prefetch
+technique preset, and the stream-buffer destination.  The goldens were
+recorded with the batched event engine and the scalar per-cycle oracle
+agreeing bit for bit, so history, not a second engine, is the oracle.
 
-Also pinned here, because both engines must agree on them:
+Also pinned here:
 
 * the per-run deadlock guard (``max_cycles`` bounds one ``run()``, not
   the cumulative cycle counter, so multi-frame sessions never trip it);
@@ -15,8 +15,7 @@ Also pinned here, because both engines must agree on them:
   loop only — enabling it changes nothing, and the batched engine does
   not need it);
 * the trailing-event drain: ``stats.cycles`` equals the post-drain
-  cycle base used to denominate DRAM utilization, identically in both
-  backends;
+  cycle base used to denominate DRAM utilization;
 * cumulative semantics: statistics accumulate across ``load()``/
   ``run()`` rounds and ``run_frame`` deltas sum to the cumulative
   cycle counter.
@@ -26,40 +25,33 @@ import dataclasses
 
 import pytest
 
+from golden_replay import (
+    FRAMES_KEY,
+    STREAM_KEY,
+    TECHNIQUES,
+    golden_simstats,
+    preset_key,
+    presets,
+    run_case,
+    scene_key,
+    skip_unless_pinned_geometry,
+)
 from repro.core.pipeline import (
-    BASELINE,
     SMOKE,
     TREELET_PREFETCH,
-    Technique,
     build_gpu_model,
 )
 from repro.gpusim import REPLAY_BACKENDS, SimulationLimitError
 from repro.scenes import ALL_SCENES
 
-#: Technique presets covering every scheduler policy, voter mode,
-#: heuristic, mapping mode, and prefetcher family the model supports.
-PRESETS = {
-    "baseline": BASELINE,
-    "treelet-prefetch": TREELET_PREFETCH,
-    "tp-omr": dataclasses.replace(TREELET_PREFETCH, scheduler="omr"),
-    "tp-baseline-sched": dataclasses.replace(
-        TREELET_PREFETCH, scheduler="baseline"
-    ),
-    "tp-adaptive": dataclasses.replace(TREELET_PREFETCH, adaptive=True),
-    "tp-voter-latency": dataclasses.replace(
-        TREELET_PREFETCH, voter_latency=8
-    ),
-    "mapping-loose": dataclasses.replace(
-        TREELET_PREFETCH, layout="dfs", mapping_mode="loose"
-    ),
-    "mapping-strict": dataclasses.replace(
-        TREELET_PREFETCH, layout="dfs", mapping_mode="strict"
-    ),
-    "mta": dataclasses.replace(TREELET_PREFETCH, prefetch="mta"),
-    "stride": Technique(prefetch="stride"),
-    "ghb": Technique(prefetch="ghb"),
-    "traversal-only": dataclasses.replace(TREELET_PREFETCH, prefetch=None),
-}
+PRESETS = presets()
+
+
+def _check_golden(key):
+    skip_unless_pinned_geometry(key)
+    expected = golden_simstats(key)
+    for backend in REPLAY_BACKENDS:
+        assert run_case(key, backend) == expected, backend
 
 
 def _config(backend, **overrides):
@@ -83,31 +75,15 @@ def _run(scene, technique, backend, fast_forward=True, **config_overrides):
 class TestGoldenBitIdentity:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_matrix(self, name):
-        technique = PRESETS[name]
-        assert _run("CAR", technique, "batched") == _run(
-            "CAR", technique, "scalar"
-        )
+        _check_golden(preset_key(name))
 
     @pytest.mark.parametrize("scene", ALL_SCENES)
-    @pytest.mark.parametrize(
-        "name", ["baseline", "treelet-prefetch"]
-    )
+    @pytest.mark.parametrize("name", TECHNIQUES)
     def test_all_scenes(self, scene, name):
-        technique = PRESETS[name]
-        assert _run(scene, technique, "batched") == _run(
-            scene, technique, "scalar"
-        )
+        _check_golden(scene_key(scene, name))
 
     def test_stream_buffer_destination(self):
-        batched = _run(
-            "WKND", TREELET_PREFETCH, "batched",
-            prefetch_destination="stream",
-        )
-        scalar = _run(
-            "WKND", TREELET_PREFETCH, "scalar",
-            prefetch_destination="stream",
-        )
-        assert batched == scalar
+        _check_golden(STREAM_KEY)
 
 
 class TestFastForward:
@@ -200,6 +176,11 @@ class TestTrailingDrain:
             runs["batched"]["dram_utilization"]
             == runs["scalar"]["dram_utilization"]
         )
+        golden = golden_simstats(scene_key("SHIP", "treelet-prefetch"))
+        assert runs["batched"]["cycles"] == golden["cycles"]
+        assert runs["batched"]["dram_utilization"] == golden[
+            "dram_utilization"
+        ]
 
 
 class TestCumulativeSemantics:
@@ -228,6 +209,8 @@ class TestCumulativeSemantics:
             model.load(traces, bvh, layout)
             results[backend] = dataclasses.asdict(model.run())
         assert results["batched"] == results["scalar"]
+        golden = golden_simstats(FRAMES_KEY)[1]
+        assert results["batched"] == golden
 
     @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
     def test_run_frame_deltas_sum_to_cycle_counter(self, backend):
@@ -250,3 +233,7 @@ class TestCumulativeSemantics:
                 model.run_frame(traces, bvh, layout) for _ in range(2)
             ]
         assert deltas["batched"] == deltas["scalar"]
+        cycles = [round_["cycles"] for round_ in golden_simstats(FRAMES_KEY)]
+        assert deltas["batched"] == [cycles[0]] + [
+            b - a for a, b in zip(cycles, cycles[1:3])
+        ]
