@@ -25,6 +25,54 @@ class AccessOutcome(Enum):
     MISS = "miss"
 
 
+def emit_probe(
+    obs,
+    cycle: int,
+    track: str,
+    line: int,
+    outcome: str,
+    is_prefetch: bool,
+    first_hit: Optional[int] = None,
+    owner_prefetch: Optional[bool] = None,
+) -> None:
+    """Publish the trace events of one cache probe on ``obs``.
+
+    Every probe emits ``cache.access``; a merge into an in-flight MSHR
+    (``owner_prefetch`` is the owner's prefetch flag before the merge)
+    also emits ``mshr.merge``, and the first demand hit on a prefetched
+    line (``first_hit`` is that line's fill cycle) emits
+    ``prefetch.first_hit``.  :meth:`Cache.probe` and the memory
+    system's inlined probes all publish through here.
+    """
+    if first_hit is not None:
+        obs.emit(
+            "prefetch.first_hit", cycle, track,
+            args={"line": line, "fill_cycle": first_hit},
+        )
+    if owner_prefetch is not None:
+        obs.emit(
+            "mshr.merge", cycle, track,
+            args={
+                "line": line,
+                "owner_prefetch": owner_prefetch,
+                "prefetch": is_prefetch,
+            },
+        )
+    obs.emit(
+        "cache.access", cycle, track,
+        args={"line": line, "outcome": outcome, "prefetch": is_prefetch},
+    )
+
+
+def first_hit_fill(meta: "LineMeta", is_prefetch: bool) -> Optional[int]:
+    """Fill cycle of a resident line whose hit is the first demand touch
+    of a prefetched line, else None (the ``first_hit`` of
+    :func:`emit_probe`).  Read before the hit marks the line touched."""
+    if is_prefetch or not meta.filled_by_prefetch or meta.demand_touched:
+        return None
+    return meta.fill_cycle
+
+
 class LineMeta:
     """Per-resident-line metadata.
 
@@ -206,6 +254,9 @@ class Cache:
         set_map = self._sets.setdefault(line % self._n_sets, OrderedDict())
         meta = set_map.get(line)
         if meta is not None:
+            if obs is not None:
+                emit_probe(obs, cycle, self.name, line, "hit", is_prefetch,
+                           first_hit_fill(meta, is_prefetch))
             set_map.move_to_end(line)
             if is_prefetch:
                 stats.prefetch_hits += 1
@@ -213,42 +264,13 @@ class Cache:
                 stats.demand_hits += 1
                 if meta.filled_by_prefetch and not meta.demand_touched:
                     stats.demand_hits_on_prefetched += 1
-                    if obs is not None:
-                        obs.emit(
-                            "prefetch.first_hit",
-                            cycle,
-                            self.name,
-                            args={
-                                "line": line,
-                                "fill_cycle": meta.fill_cycle,
-                            },
-                        )
                 meta.demand_touched = True
-            if obs is not None:
-                obs.emit(
-                    "cache.access",
-                    cycle,
-                    self.name,
-                    args={
-                        "line": line,
-                        "outcome": "hit",
-                        "prefetch": is_prefetch,
-                    },
-                )
             return AccessOutcome.HIT
         entry = self._mshrs.get(line)
         if entry is not None:
             if obs is not None:
-                obs.emit(
-                    "mshr.merge",
-                    cycle,
-                    self.name,
-                    args={
-                        "line": line,
-                        "owner_prefetch": entry.is_prefetch,
-                        "prefetch": is_prefetch,
-                    },
-                )
+                emit_probe(obs, cycle, self.name, line, "pending_hit",
+                           is_prefetch, owner_prefetch=entry.is_prefetch)
             if is_prefetch:
                 stats.prefetch_pending_hits += 1
             else:
@@ -258,19 +280,10 @@ class Cache:
                     entry.is_prefetch = False  # a demand now owns the fill
             if waiter is not None:
                 entry.waiters.append(waiter)
-            if obs is not None:
-                obs.emit(
-                    "cache.access",
-                    cycle,
-                    self.name,
-                    args={
-                        "line": line,
-                        "outcome": "pending_hit",
-                        "prefetch": is_prefetch,
-                    },
-                )
             return AccessOutcome.PENDING_HIT
         # Miss: allocate the MSHR.
+        if obs is not None:
+            emit_probe(obs, cycle, self.name, line, "miss", is_prefetch)
         if is_prefetch:
             stats.prefetch_misses += 1
         else:
@@ -279,17 +292,6 @@ class Cache:
         if waiter is not None:
             entry.waiters.append(waiter)
         self._mshrs[line] = entry
-        if obs is not None:
-            obs.emit(
-                "cache.access",
-                cycle,
-                self.name,
-                args={
-                    "line": line,
-                    "outcome": "miss",
-                    "prefetch": is_prefetch,
-                },
-            )
         return AccessOutcome.MISS
 
     def fill(self, line: int, cycle: int) -> List[Callable[[int], None]]:

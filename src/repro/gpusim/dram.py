@@ -71,18 +71,20 @@ class Dram:
         self.stats.per_partition_busy[partition] += self.config.burst_cycles
         self.stats.total_wait_cycles += start - cycle
         if self.obs is not None:
-            self.obs.emit(
-                "dram.service",
-                start,
-                f"DRAM[{partition}]",
-                dur=self.config.burst_cycles,
-                args={
-                    "partition": partition,
-                    "address": address,
-                    "wait": start - cycle,
-                },
-            )
+            self._trace(partition, address, start, cycle)
         return start + self.config.burst_cycles + self.config.latency
+
+    def _trace(self, partition: int, address: int, start: int,
+               cycle: int) -> None:
+        """Publish one request's bus occupancy as a ``dram.service``."""
+        self.obs.emit(
+            "dram.service",
+            start,
+            f"DRAM[{partition}]",
+            dur=self.config.burst_cycles,
+            args={"partition": partition, "address": address,
+                  "wait": start - cycle},
+        )
 
     def service_many(
         self, addresses: Sequence[int], cycle: int
@@ -95,9 +97,8 @@ class Dram:
         vectorized pass over the address batch, while bus occupancy
         within each partition still serializes in input order — the
         per-request completion cycles are exactly what an in-order
-        sequence of :meth:`service` calls would return.  Tracing-off
-        path only (no per-request obs emits); the caller falls back to
-        :meth:`service` when a trace bus is attached.
+        sequence of :meth:`service` calls would return, and an attached
+        trace bus receives the same ``dram.service`` events.
         """
         config = self.config
         partitions = (
@@ -110,9 +111,10 @@ class Dram:
         stats = self.stats
         accesses = stats.per_partition_accesses
         busy = stats.per_partition_busy
+        obs = self.obs
         waited = 0
         dones = []
-        for partition in partitions:
+        for index, partition in enumerate(partitions):
             free = bus[partition]
             start = free if free > cycle else cycle
             bus[partition] = start + burst
@@ -120,6 +122,8 @@ class Dram:
             busy[partition] += burst
             waited += start - cycle
             dones.append(start + tail)
+            if obs is not None:
+                self._trace(partition, addresses[index], start, cycle)
         stats.accesses += len(partitions)
         stats.total_wait_cycles += waited
         return dones

@@ -274,12 +274,9 @@ class GpuModel:
         # Wake MSHR-sleeping units the moment a fill frees an entry.
         self.memsys.fill_listener = on_fill
         # Agenda-batched memory system: per-cycle buckets replace
-        # per-line closures.  Only when tracing is off — the scalar
-        # closure path carries every obs emit, and an observed run must
-        # stay bit-identical to an unobserved one (both regimes are
-        # bit-identical to the oracle, so it does).  The batch flag
-        # stays on through the trailing ``events.drain`` in :meth:`run`.
-        self.memsys.set_batch_mode(self.memsys.obs is None, units)
+        # per-line closures, observed or not.  The batch flag stays on
+        # through the trailing ``events.drain`` in :meth:`run`.
+        self.memsys.set_batch_mode(True, units)
         if not any(unit.busy() for unit in units):
             return cycle
         while True:

@@ -37,7 +37,14 @@ import numpy as np
 
 from ..core.config import GpuConfig
 from ..prefetch.effectiveness import PrefetchEffectivenessTracker
-from .cache import AccessOutcome, Cache, LineMeta, MshrEntry
+from .cache import (
+    AccessOutcome,
+    Cache,
+    LineMeta,
+    MshrEntry,
+    emit_probe,
+    first_hit_fill,
+)
 from .dram import Dram
 from .event import EventQueue
 
@@ -283,6 +290,7 @@ class MemorySystem:
             l2_latency,
             traffic,
         ) = self._flush_env
+        obs = self.obs
         enqueue = self._enqueue
         fill_l1 = self._fill_l1_batched
         fill_stream = self._fill_stream
@@ -324,6 +332,9 @@ class MemorySystem:
                 set_map, meta, entry = l2.classify(line)
                 if meta is not None:
                     # Resident: the ``Cache.probe`` hit body, inlined.
+                    if obs is not None:
+                        emit_probe(obs, at, "L2", line, "hit", is_prefetch,
+                                   first_hit_fill(meta, is_prefetch))
                     set_map.move_to_end(line)
                     if is_prefetch:
                         l2_stats.prefetch_hits += 1
@@ -340,6 +351,10 @@ class MemorySystem:
                     hit_bucket.append((fill_kind, sm, line))
                 elif entry is not None:
                     # In flight: merge into the MSHR as a tuple waiter.
+                    if obs is not None:
+                        emit_probe(obs, at, "L2", line, "pending_hit",
+                                   is_prefetch,
+                                   owner_prefetch=entry.is_prefetch)
                     if is_prefetch:
                         l2_stats.prefetch_pending_hits += 1
                     else:
@@ -350,6 +365,8 @@ class MemorySystem:
                     entry.waiters.append((fill_kind, sm))
                 else:
                     # Miss: allocate the MSHR, defer the DRAM trip.
+                    if obs is not None:
+                        emit_probe(obs, at, "L2", line, "miss", is_prefetch)
                     if is_prefetch:
                         l2_stats.prefetch_misses += 1
                     else:
@@ -499,6 +516,7 @@ class MemorySystem:
         tracing is disabled, so the obs emits cannot apply), and
         downstream work lands in agenda buckets instead of per-line
         heap closures.  Bit-identical to :meth:`_l1_access`."""
+        obs = self.obs
         l1 = self.l1s[sm]
         tracker = self.trackers[sm]
         stats = l1.stats
@@ -506,6 +524,9 @@ class MemorySystem:
         set_map = l1._sets.get(line % l1._n_sets)
         meta = set_map.get(line) if set_map is not None else None
         if meta is not None:
+            if obs is not None:
+                emit_probe(obs, cycle, l1.name, line, "hit", is_prefetch,
+                           first_hit_fill(meta, is_prefetch))
             if is_prefetch:
                 tracker.on_prefetch_probe(line, AccessOutcome.HIT, meta, None)
                 stats.prefetch_accesses += 1
@@ -524,6 +545,9 @@ class MemorySystem:
         entry = l1._mshrs.get(line)
         if entry is not None:
             owner = entry.is_prefetch
+            if obs is not None:
+                emit_probe(obs, cycle, l1.name, line, "pending_hit",
+                           is_prefetch, owner_prefetch=owner)
             if is_prefetch:
                 tracker.on_prefetch_probe(
                     line, AccessOutcome.PENDING_HIT, None, owner
@@ -542,6 +566,8 @@ class MemorySystem:
             if responder is not None:
                 entry.waiters.append(responder)
             return AccessOutcome.PENDING_HIT
+        if obs is not None:
+            emit_probe(obs, cycle, l1.name, line, "miss", is_prefetch)
         if is_prefetch:
             tracker.on_prefetch_probe(line, AccessOutcome.MISS, None, None)
             stats.prefetch_accesses += 1
@@ -689,21 +715,39 @@ class MemorySystem:
             if region == REGION_NODE:
                 self.node_demand_latency.record(latency)
             if self.obs is not None:
-                self.obs.emit(
-                    "demand.complete",
+                self.trace_demand(
+                    sm, self.l2.line_of(address), region, issue_cycle,
                     done_cycle,
-                    f"SM{sm}",
-                    args={
-                        "sm": sm,
-                        "line": self.l2.line_of(address),
-                        "region": region,
-                        "latency": latency,
-                        "issue_cycle": issue_cycle,
-                    },
                 )
             callback(done_cycle)
 
         return respond
+
+    def trace_demand(
+        self, sm: int, line: int, region: str, issue_cycle: int,
+        done_cycle: int,
+    ) -> None:
+        """Publish one demand response as ``demand.complete`` (the
+        caller checks that a trace bus is attached)."""
+        self.obs.emit(
+            "demand.complete",
+            done_cycle,
+            f"SM{sm}",
+            args={
+                "sm": sm,
+                "line": line,
+                "region": region,
+                "latency": done_cycle - issue_cycle,
+                "issue_cycle": issue_cycle,
+            },
+        )
+
+    def _trace_prefetch_fill(
+        self, track: str, sm: int, line: int, cycle: int
+    ) -> None:
+        self.obs.emit(
+            "prefetch.fill", cycle, track, args={"sm": sm, "line": line}
+        )
 
     def _fill_l1(self, sm: int, line: int, cycle: int) -> None:
         tracker = self.trackers[sm]
@@ -716,12 +760,7 @@ class MemorySystem:
         elif self.fill_listener is not None:
             self.fill_listener(sm)
         if was_prefetch and self.obs is not None:
-            self.obs.emit(
-                "prefetch.fill",
-                cycle,
-                self.l1s[sm].name,
-                args={"sm": sm, "line": line},
-            )
+            self._trace_prefetch_fill(self.l1s[sm].name, sm, line, cycle)
         for waiter in waiters:
             waiter(cycle)
 
@@ -758,6 +797,8 @@ class MemorySystem:
             wake[sm].dirty = True
         elif self.fill_listener is not None:
             self.fill_listener(sm)
+        if filled_by_prefetch and self.obs is not None:
+            self._trace_prefetch_fill(l1.name, sm, line, cycle)
         if entry is not None:
             for waiter in entry.waiters:
                 waiter(cycle)
@@ -774,12 +815,7 @@ class MemorySystem:
         elif self.fill_listener is not None:
             self.fill_listener(sm)
         if was_prefetch and self.obs is not None:
-            self.obs.emit(
-                "prefetch.fill",
-                cycle,
-                buffer.name,
-                args={"sm": sm, "line": line},
-            )
+            self._trace_prefetch_fill(buffer.name, sm, line, cycle)
         for waiter in waiters:
             waiter(cycle)
 

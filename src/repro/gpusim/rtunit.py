@@ -28,7 +28,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
-from .cache import AccessOutcome
+from .cache import AccessOutcome, emit_probe, first_hit_fill
 from .event import EventQueue
 from .memsys import MemorySystem, REGION_NODE, REGION_PRIMITIVE
 from .scheduler import select_warp
@@ -86,11 +86,11 @@ class RTUnit:
         self._box_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
         self._prim_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
         #: batched-path L1-hit responses awaiting delivery, as
-        #: ``(due, is_node, warp, rays, issue_cycle)``.  Hit latency is a
+        #: ``(due, is_node, warp, rays, issue_cycle, line)``.  Hit latency is a
         #: constant, so due cycles are appended in nondecreasing order
         #: and a deque replaces the scalar path's heap events.
         self._hit_responses: Deque[
-            Tuple[int, bool, WarpSlot, List[RayTask], int]
+            Tuple[int, bool, WarpSlot, List[RayTask], int, int]
         ] = deque()
         # Hot-loop constants, resolved once per unit.
         self._baseline_sched = scheduler_policy == "baseline"
@@ -576,93 +576,76 @@ class RTUnit:
             warp.ready_count -= claimed_rays
 
         stats = self.stats
-        prefetcher = self.prefetcher
-        memsys = self.memsys
         sm_id = self.sm_id
         warp_id = warp.warp_id
+        obs = self.obs
         l1 = self._l1
-        if l1.obs is None and memsys.obs is None:
-            # Fused memory path (tracing disabled — the common case).
-            l1_entry = memsys.l1_entry
-            demand_hook = self._demand_hook
-            tracker = self._tracker
-            lstats = l1.stats
-            sets = l1._sets
-            n_sets = l1._n_sets
-            due = cycle + self._l1_latency
-            responses = self._hit_responses
-            hit = AccessOutcome.HIT
-            for address, rays in node_groups.values():
-                stats.node_fetches_issued += 1
-                if demand_hook is not None:
-                    demand_hook(warp_id, address, cycle)
-                line = address // line_bytes
-                set_map = sets.get(line % n_sets)
-                meta = set_map.get(line) if set_map is not None else None
-                if meta is not None:
-                    # Resident hit, inlined from ``Cache.probe``: classify
-                    # on the pre-probe meta, then the probe's hit body.
-                    tracker.on_demand_probe(line, hit, meta, None)
-                    lstats.demand_accesses += 1
-                    lstats.demand_hits += 1
-                    if meta.filled_by_prefetch and not meta.demand_touched:
-                        lstats.demand_hits_on_prefetched += 1
-                    meta.demand_touched = True
-                    set_map.move_to_end(line)
-                    responses.append((due, True, warp, rays, cycle))
-                else:
-                    l1_entry(
-                        sm_id,
-                        address,
-                        cycle,
-                        False,
-                        self._node_miss_response(warp, rays, cycle),
-                    )
-            for address, rays in prim_groups.values():
-                stats.primitive_fetches_issued += 1
-                if demand_hook is not None:
-                    demand_hook(warp_id, address, cycle)
-                line = address // line_bytes
-                set_map = sets.get(line % n_sets)
-                meta = set_map.get(line) if set_map is not None else None
-                if meta is not None:
-                    tracker.on_demand_probe(line, hit, meta, None)
-                    lstats.demand_accesses += 1
-                    lstats.demand_hits += 1
-                    if meta.filled_by_prefetch and not meta.demand_touched:
-                        lstats.demand_hits_on_prefetched += 1
-                    meta.demand_touched = True
-                    set_map.move_to_end(line)
-                    responses.append((due, False, warp, rays, cycle))
-                else:
-                    l1_entry(
-                        sm_id,
-                        address,
-                        cycle,
-                        False,
-                        self._prim_miss_response(warp, rays, cycle),
-                    )
-            return claimed
+        l1_name = l1.name
+        l1_access = self.memsys._l1_access_batched
+        demand_hook = self._demand_hook
+        tracker = self._tracker
+        lstats = l1.stats
+        sets = l1._sets
+        n_sets = l1._n_sets
+        due = cycle + self._l1_latency
+        responses = self._hit_responses
+        hit = AccessOutcome.HIT
         for address, rays in node_groups.values():
             stats.node_fetches_issued += 1
-            prefetcher.on_demand_issue(warp_id, address, cycle)
-            memsys.access(
-                sm_id,
-                address,
-                cycle,
-                region=REGION_NODE,
-                callback=self._node_response_fast(warp, rays),
-            )
+            if demand_hook is not None:
+                demand_hook(warp_id, address, cycle)
+            line = address // line_bytes
+            set_map = sets.get(line % n_sets)
+            meta = set_map.get(line) if set_map is not None else None
+            if meta is not None:
+                # Resident hit, inlined from ``Cache.probe``: classify
+                # on the pre-probe meta, then the probe's hit body.
+                if obs is not None:
+                    emit_probe(obs, cycle, l1_name, line, "hit", False,
+                               first_hit_fill(meta, False))
+                tracker.on_demand_probe(line, hit, meta, None)
+                lstats.demand_accesses += 1
+                lstats.demand_hits += 1
+                if meta.filled_by_prefetch and not meta.demand_touched:
+                    lstats.demand_hits_on_prefetched += 1
+                meta.demand_touched = True
+                set_map.move_to_end(line)
+                responses.append((due, True, warp, rays, cycle, line))
+            else:
+                l1_access(
+                    sm_id,
+                    address,
+                    cycle,
+                    False,
+                    self._node_miss_response(warp, rays, cycle, line),
+                )
         for address, rays in prim_groups.values():
             stats.primitive_fetches_issued += 1
-            prefetcher.on_demand_issue(warp_id, address, cycle)
-            memsys.access(
-                sm_id,
-                address,
-                cycle,
-                region=REGION_PRIMITIVE,
-                callback=self._prim_response_fast(warp, rays),
-            )
+            if demand_hook is not None:
+                demand_hook(warp_id, address, cycle)
+            line = address // line_bytes
+            set_map = sets.get(line % n_sets)
+            meta = set_map.get(line) if set_map is not None else None
+            if meta is not None:
+                if obs is not None:
+                    emit_probe(obs, cycle, l1_name, line, "hit", False,
+                               first_hit_fill(meta, False))
+                tracker.on_demand_probe(line, hit, meta, None)
+                lstats.demand_accesses += 1
+                lstats.demand_hits += 1
+                if meta.filled_by_prefetch and not meta.demand_touched:
+                    lstats.demand_hits_on_prefetched += 1
+                meta.demand_touched = True
+                set_map.move_to_end(line)
+                responses.append((due, False, warp, rays, cycle, line))
+            else:
+                l1_access(
+                    sm_id,
+                    address,
+                    cycle,
+                    False,
+                    self._prim_miss_response(warp, rays, cycle, line),
+                )
         return claimed
 
     # -- response / op-unit path ---------------------------------------------
@@ -697,59 +680,23 @@ class RTUnit:
 
         return on_data
 
-    def _node_response_fast(self, warp: WarpSlot, rays: List[RayTask]):
-        """Fused :meth:`_node_response`: no dispatch layers, FIFO tests.
-
-        Semantically identical to ``_node_response`` →
-        ``_node_data_arrived`` → ``_start_test``; the box test lands in
-        ``_box_tests`` instead of the event heap.
-        """
-
-        def on_data(cycle: int) -> None:
-            self.dirty = True
-            box_latency = self._box_latency
-            box_tests = self._box_tests
-            for ray in rays:
-                visit = ray.trace.visits[ray.cursor]
-                if visit.is_leaf and visit.primitive_count > 0:
-                    ray.prim_lines_pending = ray.primitive_lines()
-                    ray.prim_lines_outstanding = 0
-                    ray.state = RayState.PRIM_READY
-                    warp.note_ready(ray)
-                else:
-                    ray.state = RayState.TESTING
-                    box_tests.append((cycle + box_latency, warp, ray))
-
-        return on_data
-
-    def _prim_response_fast(self, warp: WarpSlot, rays: List[RayTask]):
-        def on_data(cycle: int) -> None:
-            self.dirty = True
-            prim_latency = self._prim_latency
-            prim_tests = self._prim_tests
-            for ray in rays:
-                ray.prim_lines_outstanding -= 1
-                if (
-                    ray.state is RayState.WAIT_PRIM
-                    and ray.prim_lines_outstanding == 0
-                ):
-                    ray.state = RayState.TESTING
-                    prim_tests.append((cycle + prim_latency, warp, ray))
-
-        return on_data
-
     def _node_miss_response(
-        self, warp: WarpSlot, rays: List[RayTask], issue_cycle: int
+        self, warp: WarpSlot, rays: List[RayTask], issue_cycle: int,
+        line: int,
     ):
-        """Miss-path :meth:`_node_response_fast` that also records the
-        demand latency (the fused issue path bypasses
-        ``MemorySystem._latency_recorder``; tracing is off by the fused
-        path's gate, so only the two latency accumulators remain)."""
-        all_lat = self.memsys.all_demand_latency
-        node_lat = self.memsys.node_demand_latency
+        """Response to a node fetch that missed the L1: records the
+        demand latency (and its trace event), then starts each ray's
+        box test or primitive fetches."""
+        memsys = self.memsys
+        all_lat = memsys.all_demand_latency
+        node_lat = memsys.node_demand_latency
 
         def on_data(cycle: int) -> None:
             self.dirty = True
+            if self.obs is not None:
+                memsys.trace_demand(
+                    self.sm_id, line, REGION_NODE, issue_cycle, cycle
+                )
             latency = cycle - issue_cycle
             all_lat.total_cycles += latency
             all_lat.count += 1
@@ -771,12 +718,18 @@ class RTUnit:
         return on_data
 
     def _prim_miss_response(
-        self, warp: WarpSlot, rays: List[RayTask], issue_cycle: int
+        self, warp: WarpSlot, rays: List[RayTask], issue_cycle: int,
+        line: int,
     ):
-        all_lat = self.memsys.all_demand_latency
+        memsys = self.memsys
+        all_lat = memsys.all_demand_latency
 
         def on_data(cycle: int) -> None:
             self.dirty = True
+            if self.obs is not None:
+                memsys.trace_demand(
+                    self.sm_id, line, REGION_PRIMITIVE, issue_cycle, cycle
+                )
             all_lat.total_cycles += cycle - issue_cycle
             all_lat.count += 1
             prim_latency = self._prim_latency
@@ -812,8 +765,15 @@ class RTUnit:
             box_tests = self._box_tests
             prim_tests = self._prim_tests
             self.dirty = True
+            obs = self.obs
             while responses and responses[0][0] <= cycle:
-                due, is_node, warp, rays, issue = responses.popleft()
+                due, is_node, warp, rays, issue, line = responses.popleft()
+                if obs is not None:
+                    self.memsys.trace_demand(
+                        self.sm_id, line,
+                        REGION_NODE if is_node else REGION_PRIMITIVE,
+                        issue, due,
+                    )
                 latency = due - issue
                 all_lat.total_cycles += latency
                 all_lat.count += 1

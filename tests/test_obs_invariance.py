@@ -60,6 +60,46 @@ class TestObserverInvariance:
         assert record == golden_events(key)
         assert record["kinds"]["dram.service"] == stats.dram_accesses
 
+    def test_observed_run_takes_the_production_path(self, monkeypatch):
+        """An observed replay runs the agenda memory system and the fused
+        L1-hit path: L2 transfers are classified in ``_flush``, every L1
+        demand hit is delivered from the unit's hit FIFO, and no L1
+        demand probe goes through ``Cache.probe``."""
+        from repro.gpusim.cache import Cache
+        from repro.gpusim.memsys import MemorySystem
+        from repro.gpusim.rtunit import RTUnit
+
+        calls = {"flush": 0, "fused_hits": 0, "l1_demand_probes": 0}
+        flush = MemorySystem._flush
+        deliver = RTUnit.run_tests_due
+        probe = Cache.probe
+
+        def counting_flush(self, at):
+            calls["flush"] += 1
+            flush(self, at)
+
+        def counting_deliver(self, cycle):
+            calls["fused_hits"] += sum(
+                1 for response in self._hit_responses if response[0] <= cycle
+            )
+            deliver(self, cycle)
+
+        def counting_probe(self, line, is_prefetch, waiter=None, cycle=0):
+            if self.name.startswith("L1") and not is_prefetch:
+                calls["l1_demand_probes"] += 1
+            return probe(self, line, is_prefetch, waiter, cycle)
+
+        monkeypatch.setattr(MemorySystem, "_flush", counting_flush)
+        monkeypatch.setattr(RTUnit, "run_tests_due", counting_deliver)
+        monkeypatch.setattr(Cache, "probe", counting_probe)
+        stats, observer, _ = observed_run("scene|SHIP|treelet-prefetch")
+        assert calls["flush"] > 0
+        assert calls["fused_hits"] == stats.l1.demand_hits > 0
+        assert calls["l1_demand_probes"] == 0
+        assert observer.bus.kinds()["demand.complete"] == (
+            stats.l1.demand_accesses
+        )
+
     def test_metrics_agree_with_stats(self):
         _, traced, observer = _observed_pair("WKND", TREELET_PREFETCH)
         metrics = observer.metrics
