@@ -5,7 +5,8 @@ Usage::
 
     python benchmarks/perf/check_regression.py \
         [--baseline-dir benchmarks/perf/baselines/smoke] \
-        [--current-dir .] [--threshold 2.0] [--min-trace-speedup X]
+        [--current-dir .] [--threshold 2.0] [--min-trace-speedup X] \
+        [--max-calibrated-slowdown F] [--max-parallel-slowdown F]
 
 For every ``BENCH_<phase>.json`` present in the baseline directory, the
 matching current file must exist and every ``metrics.<name>.seconds``
@@ -14,6 +15,13 @@ enough to absorb machine-to-machine variance, tight enough to catch a
 vectorized kernel silently falling back to scalar).  With
 ``--min-trace-speedup`` the trace phase's ``derived.speedup`` (scalar
 time / vectorized time) must also clear the floor.
+
+With ``--max-calibrated-slowdown`` the replay phase's
+``derived.replay_calibrated`` (``replay_warm`` divided by the seconds
+of a fixed calibration kernel timed in the same process) must not
+exceed the baseline's by more than ``factor``.  The kernel calls nothing
+in ``repro``, so the ratio cancels most of the host's speed and can be
+held far tighter (about 1.3x) than raw seconds across machines.
 
 Wall-clock fan-out metrics (``replay_serial_wall``,
 ``replay_parallel``) are excluded from the baseline ratio check: their
@@ -76,9 +84,9 @@ def main() -> int:
              "speedup drops below this floor",
     )
     parser.add_argument(
-        "--min-replay-speedup", type=float, default=None,
-        help="fail when the replay phase's batched-over-scalar "
-             "speedup drops below this floor",
+        "--max-calibrated-slowdown", type=float, default=None,
+        help="fail when the replay phase's replay_warm / calibration "
+             "ratio exceeds the baseline's by more than this factor",
     )
     parser.add_argument(
         "--max-parallel-slowdown", type=float, default=None,
@@ -125,10 +133,8 @@ def main() -> int:
             print(f"{baseline_path.name:>22} {name:<20} "
                   f"{base_seconds:.4f}s -> {cur['seconds']:.4f}s "
                   f"({ratio:.2f}x)  {verdict}")
-        floor = {
-            "trace": args.min_trace_speedup,
-            "replay": args.min_replay_speedup,
-        }.get(baseline["phase"])
+        floor = (args.min_trace_speedup
+                 if baseline["phase"] == "trace" else None)
         if floor is not None:
             speedup = current["derived"].get("speedup", 0.0)
             verdict = "ok"
@@ -138,6 +144,25 @@ def main() -> int:
             print(f"{baseline_path.name:>22} {'derived.speedup':<20} "
                   f"{speedup:.2f}x (floor {floor:.2f}x)  "
                   f"{verdict}")
+        if (args.max_calibrated_slowdown is not None
+                and baseline["phase"] == "replay"):
+            base_ratio = baseline["derived"].get("replay_calibrated")
+            cur_ratio = current["derived"].get("replay_calibrated")
+            if base_ratio is None or cur_ratio is None:
+                print(f"{baseline_path.name}: replay_calibrated missing, "
+                      f"cannot check --max-calibrated-slowdown",
+                      file=sys.stderr)
+                failures += 1
+            else:
+                ratio = cur_ratio / base_ratio
+                verdict = "ok"
+                if ratio > args.max_calibrated_slowdown:
+                    verdict = "REGRESSION"
+                    failures += 1
+                print(f"{baseline_path.name:>22} {'replay_calibrated':<20} "
+                      f"{base_ratio:.3f} -> {cur_ratio:.3f} "
+                      f"({ratio:.2f}x, max "
+                      f"{args.max_calibrated_slowdown:.2f}x)  {verdict}")
         if (args.max_parallel_slowdown is not None
                 and baseline["phase"] == "replay"):
             serial = current["metrics"].get("replay_serial_wall")

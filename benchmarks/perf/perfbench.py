@@ -8,7 +8,8 @@ isolation (``run_bench.py`` is the CLI driver):
   budgets x 3 deferred orders).  This is the tentpole number: the
   committed ``BENCH_trace.json`` at default scale must show >= 5x.
 * ``build``  — cold artifact construction (scene, BVH, decomposition).
-* ``replay`` — trace-driven GPU-model simulation with warm artifacts.
+* ``replay`` — trace-driven GPU-model simulation with warm artifacts,
+  also reported in units of a fixed calibration kernel's time.
 * ``e2e``    — one full cold evaluation per scene (build + trace +
   replay), the end-user `repro.api.run` experience.
 
@@ -27,9 +28,12 @@ ratios and workload counts.  ``check_regression.py`` compares the
 
 from __future__ import annotations
 
+import heapq
 import os
 import platform
+import statistics
 import time
+from collections import OrderedDict, deque
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -278,27 +282,89 @@ def bench_build(scale: Scale, scenes: List[str], repeats: int) -> dict:
 PARALLEL_REPLAY_JOBS = max(1, min(4, os.cpu_count() or 1))
 
 
+#: Alternating calibration/replay rounds per repeat for the headline
+#: ``replay_warm`` and its calibrated ratio.  The gate on that ratio is
+#: tight (about 1.3x), so it gets more samples than the other timings.
+CALIBRATED_ROUNDS = 4
+
+
+def calibration_kernel() -> int:
+    """A fixed CPU workload that calls nothing in ``repro``.
+
+    The kinds of work the replay engine does, at a similar memory
+    footprint: small slotted objects, tuples and lists, dict and
+    ``OrderedDict`` LRU updates, a heap of timed events, a deque FIFO,
+    sorting, and small numpy reductions.  No change to the program
+    moves its time; only the host's speed does, so ``replay_warm``
+    divided by it is a machine-normalized replay cost that can be gated
+    across hosts.
+    """
+    total = 0
+    for round_ in range(3):
+        sets: Dict[int, OrderedDict] = {}
+        events: List[tuple] = []
+        fifo: deque = deque()
+        lines = []
+        for i in range(6_000):
+            line = (i * 2654435761 + round_) % 4099
+            entry = _CalibrationLine(line, i)
+            lines.append(entry)
+            ways = sets.get(line % 64)
+            if ways is None:
+                ways = sets[line % 64] = OrderedDict()
+            if line in ways:
+                ways.move_to_end(line)
+                total += ways[line].cycle & 3
+            else:
+                if len(ways) >= 8:
+                    ways.popitem(last=False)
+                ways[line] = entry
+            heapq.heappush(events, (i + line % 97, i, entry))
+            fifo.append((i + 20, line))
+            while fifo and fifo[0][0] <= i:
+                total += fifo.popleft()[1] & 7
+            if len(events) > 256:
+                total += heapq.heappop(events)[2].line & 15
+        lines.sort(key=lambda entry: (entry.line % 251, entry.cycle))
+        total += sum(entry.line for entry in lines[::37])
+        values = np.arange(512, dtype=np.int64)
+        for step in range(60):
+            total += int((values * step // 7 % 5).sum())
+            total += int(np.argsort(values % (step + 3), kind="stable")[0])
+    return total
+
+
+class _CalibrationLine:
+    __slots__ = ("line", "cycle")
+
+    def __init__(self, line: int, cycle: int) -> None:
+        self.line = line
+        self.cycle = cycle
+
+
 def bench_replay(
     scale: Scale,
     scenes: List[str],
     repeats: int,
     parallel_jobs: int = PARALLEL_REPLAY_JOBS,
 ) -> dict:
-    """Warm-artifact replay, timed per backend and per fan-out.
+    """Warm-artifact replay, machine-normalized and per fan-out.
 
-    ``replay_warm`` (the headline metric, and the one gated against the
-    committed baseline) uses the default batched engine; the scalar
-    oracle is timed alongside it and their ratio is recorded as
-    ``derived.speedup`` — the same structure as the trace phase's
-    scalar-versus-vectorized pair.  Both engines replay the identical
-    workload to bit-identical statistics.
+    ``replay_warm`` (the headline metric) times every scene's baseline
+    and treelet-prefetch replay with warm artifacts.  The fixed
+    :func:`calibration_kernel` is timed in the same process, in
+    alternation with the replay, and ``derived.replay_calibrated`` (the
+    median ratio of a replay's seconds to the kernel's around it) is the
+    replay cost in units of this host's speed: ``check_regression.py
+    --max-calibrated-slowdown`` gates it against the committed
+    baseline's ratio, which holds across machines far more tightly than
+    raw seconds do.
 
     Two further surfaces:
 
     * ``derived.per_scene`` — each scene's (baseline + treelet) replay
-      timed on both engines, so per-scene ratios are tracked and an
-      engine regression localizes to a scene instead of hiding in the
-      aggregate;
+      seconds, so an engine regression localizes to a scene instead of
+      hiding in the aggregate;
     * ``replay_serial_wall`` / ``replay_parallel`` — the same warm
       replay workload serial versus fanned across ``parallel_jobs``
       worker processes (:func:`repro.exec.prewarm_replays`), timed on
@@ -314,35 +380,37 @@ def bench_replay(
     ]
     prewarm_traces(pairs, scale)
 
-    def replay_with(backend, subset=None):
-        workload = pairs if subset is None else subset
-
+    def replay(workload):
         def run_replay():
             pipeline.STORE.clear("result")
             for scene, technique in workload:
-                _run_experiment(
-                    scene, technique, scale, replay_backend=backend
-                )
+                _run_experiment(scene, technique, scale)
 
         return run_replay
 
-    warm = _best_of(replay_with("batched"), repeats)
-    scalar = _best_of(replay_with("scalar"), repeats)
-    per_scene = {}
-    for scene in scenes:
-        subset = [(scene, BASELINE), (scene, TREELET_PREFETCH)]
-        scene_warm = _best_of(replay_with("batched", subset), repeats)
-        scene_scalar = _best_of(replay_with("scalar", subset), repeats)
-        per_scene[scene] = {
-            "batched": scene_warm,
-            "scalar": scene_scalar,
-            "speedup": scene_scalar / scene_warm,
+    # Kernel and replay are timed in alternation.  Each replay is divided
+    # by the mean of the kernel readings on either side of it, so both
+    # sides of a ratio see the same stretch of host load; the median
+    # ratio is reported.
+    kernel = [_best_of(calibration_kernel, 1)]
+    warms = []
+    ratios = []
+    for _ in range(CALIBRATED_ROUNDS * max(1, repeats)):
+        warms.append(_best_of(replay(pairs), 1))
+        kernel.append(_best_of(calibration_kernel, 1))
+        ratios.append(2 * warms[-1] / (kernel[-2] + kernel[-1]))
+    warm = min(warms)
+    calibration = min(kernel)
+    per_scene = {
+        scene: {
+            "seconds": _best_of(
+                replay([(scene, BASELINE), (scene, TREELET_PREFETCH)]),
+                repeats,
+            )
         }
-
-    def replay_serial():
-        pipeline.STORE.clear("result")
-        for scene, technique in pairs:
-            _run_experiment(scene, technique, scale)
+        for scene in scenes
+    }
+    serial_wall = _best_of_wall(replay(pairs), repeats)
 
     def replay_parallel():
         pipeline.STORE.clear("result")
@@ -350,7 +418,6 @@ def bench_replay(
             [BASELINE, TREELET_PREFETCH], scenes, scale, jobs=parallel_jobs
         )
 
-    serial_wall = _best_of_wall(replay_serial, repeats)
     parallel_wall = _best_of_wall(replay_parallel, repeats)
     return _document(
         "replay", scale,
@@ -361,13 +428,13 @@ def bench_replay(
         },
         metrics={
             "replay_warm": {"seconds": warm},
-            "replay_scalar": {"seconds": scalar},
             "replay_serial_wall": {"seconds": serial_wall},
             "replay_parallel": {"seconds": parallel_wall},
         },
         derived={
             "experiments_per_second": len(pairs) / warm,
-            "speedup": scalar / warm,
+            "calibration_seconds": calibration,
+            "replay_calibrated": statistics.median(ratios),
             "parallel_speedup": serial_wall / parallel_wall,
             "per_scene": per_scene,
         },

@@ -74,8 +74,11 @@ def main() -> int:
             f"{name}={spec['seconds']:.4f}s"
             for name, spec in sorted(document["metrics"].items())
         ]
-        if "speedup" in document["derived"]:
-            parts.append(f"speedup={document['derived']['speedup']:.2f}x")
+        derived = document["derived"]
+        if "speedup" in derived:
+            parts.append(f"speedup={derived['speedup']:.2f}x")
+        if "replay_calibrated" in derived:
+            parts.append(f"calibrated={derived['replay_calibrated']:.3f}")
         print(f"{phase:>7} @ {scale.name}: {'  '.join(parts)}  -> {path}")
     return 0
 

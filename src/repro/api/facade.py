@@ -109,7 +109,6 @@ def _check_str(data: dict, key: str, what: str,
 
 _RUN_WIRE_FIELDS = (
     "scene", "technique", "scale", "workload", "cache", "trace_backend",
-    "replay_backend",
 )
 
 
@@ -122,11 +121,8 @@ class RunRequest:
     ``cache=False`` bypasses the in-process result memo;
     ``trace_backend`` forces "vectorized" or "scalar" trace generation
     for this run (they are bit-identical; None uses the process
-    default).  ``replay_backend`` likewise forces the "batched" or
-    "scalar" replay engine (bit-identical statistics; None uses
-    ``$REPRO_REPLAY_BACKEND`` and then the config default, "batched").
-    ``workload`` picks the ray population: "render" (the paper's
-    camera + secondary rays) or a :mod:`repro.queries` workload
+    default).  ``workload`` picks the ray population: "render" (the
+    paper's camera + secondary rays) or a :mod:`repro.queries` workload
     ("knn"/"containment", which require a matching query scene).
 
     :meth:`to_dict` / :meth:`from_dict` round-trip the request through
@@ -143,7 +139,6 @@ class RunRequest:
     cache: bool = True
     observer: Optional[object] = None
     trace_backend: Optional[str] = None
-    replay_backend: Optional[str] = None
 
     def to_dict(self) -> dict:
         """The JSON-safe form of this request (defaults elided).
@@ -169,8 +164,6 @@ class RunRequest:
             doc["cache"] = False
         if self.trace_backend is not None:
             doc["trace_backend"] = self.trace_backend
-        if self.replay_backend is not None:
-            doc["replay_backend"] = self.replay_backend
         return doc
 
     @classmethod
@@ -185,8 +178,7 @@ class RunRequest:
         """
         data = _check_fields(payload, _RUN_WIRE_FIELDS, ignore, "RunRequest")
         _check_str(data, "scene", "RunRequest", required=True)
-        for key in ("technique", "scale", "workload", "trace_backend",
-                    "replay_backend"):
+        for key in ("technique", "scale", "workload", "trace_backend"):
             _check_str(data, key, "RunRequest")
         if "cache" in data and not isinstance(data["cache"], bool):
             raise ValueError(
@@ -324,7 +316,6 @@ def run(
     cache: bool = True,
     observer=None,
     trace_backend: Optional[str] = None,
-    replay_backend: Optional[str] = None,
 ) -> RunResult:
     """Evaluate one technique on one scene; the front door for single runs.
 
@@ -345,7 +336,6 @@ def run(
             cache=cache,
             observer=observer,
             trace_backend=trace_backend,
-            replay_backend=replay_backend,
         )
     resolved_technique = _coerce_technique(request.technique)
     resolved_scale = _coerce_scale(request.scale)
@@ -379,7 +369,6 @@ def run(
             gpu_config=request.gpu_config,
             use_cache=request.cache,
             observer=request.observer,
-            replay_backend=request.replay_backend,
             workload=resolved_workload,
         )
     return RunResult(

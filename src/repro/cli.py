@@ -65,7 +65,7 @@ from .api import describe_techniques, parse_technique, technique_fields
 from .api.facade import run as api_run
 from .api.facade import sweep as api_sweep
 from .bvh import compute_tree_stats
-from .core import REPLAY_BACKENDS, TRACE_BACKENDS
+from .core import TRACE_BACKENDS
 from .core import banner, format_series, format_table, geomean
 from .core.pipeline import SCALES, get_bvh, get_decomposition
 from .prefetch import PrefetchHeuristic
@@ -153,11 +153,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
              "(bit-identical results; default: $REPRO_TRACE_BACKEND "
              "or vectorized)",
     )
-    parser.add_argument(
-        "--replay-backend", choices=list(REPLAY_BACKENDS), default=None,
-        help="replay engine for this invocation (bit-identical "
-             "statistics; default: $REPRO_REPLAY_BACKEND or batched)",
-    )
 
 
 def _activate_backend(args: argparse.Namespace) -> None:
@@ -166,11 +161,6 @@ def _activate_backend(args: argparse.Namespace) -> None:
         from .core import set_trace_backend
 
         set_trace_backend(backend)
-    replay = getattr(args, "replay_backend", None)
-    if replay:
-        from .core import set_replay_backend
-
-        set_replay_backend(replay)
 
 
 def _technique_from_args(args: argparse.Namespace) -> Technique:

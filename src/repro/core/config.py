@@ -107,22 +107,12 @@ class GpuConfig:
         )
     )
     max_cycles: int = 20_000_000
-    #: Replay engine: "batched" advances in event-driven time buckets and
-    #: steps only RT units with ready work; "scalar" steps every unit
-    #: every cycle (the bit-identity oracle).  Results are identical —
-    #: the backend is a host-time choice and is excluded from every
-    #: artifact/result fingerprint.
-    replay_backend: str = "batched"
 
     def __post_init__(self) -> None:
         if self.n_sms < 1 or self.warp_size < 1 or self.warp_buffer_size < 1:
             raise ValueError("SM/warp parameters must be positive")
         if self.mem_ports < 1:
             raise ValueError("need at least one memory port")
-        if self.replay_backend not in ("batched", "scalar"):
-            raise ValueError(
-                f"unknown replay backend {self.replay_backend!r}"
-            )
         if self.l1.line_bytes != self.l2.line_bytes:
             raise ValueError("L1 and L2 must share a line size")
         if self.prefetch_destination not in ("l1", "stream"):

@@ -28,7 +28,7 @@ from ..bvh import (
 )
 from ..bvh.stats import TreeStats
 from ..geometry import Ray
-from ..gpusim import GpuModel, REPLAY_BACKENDS, SimStats
+from ..gpusim import GpuModel, SimStats
 from ..power import PowerReport, evaluate_power
 from ..prefetch import (
     AdaptiveThrottle,
@@ -226,44 +226,6 @@ def trace_backend_from_env() -> str:
         return _TRACE_BACKEND_OVERRIDE
     name = os.environ.get("REPRO_TRACE_BACKEND", "").strip().lower()
     return name if name in TRACE_BACKENDS else "vectorized"
-
-
-_REPLAY_BACKEND_OVERRIDE: Optional[str] = None
-
-
-def set_replay_backend(backend: Optional[str]) -> None:
-    """Force a replay engine for this process (None reverts to the
-    ``REPRO_REPLAY_BACKEND`` environment default).  Both engines produce
-    bit-identical :class:`~repro.gpusim.SimStats`."""
-    global _REPLAY_BACKEND_OVERRIDE
-    if backend is not None and backend not in REPLAY_BACKENDS:
-        raise ValueError(f"unknown replay backend {backend!r}")
-    _REPLAY_BACKEND_OVERRIDE = backend
-
-
-def replay_backend_from_env() -> Optional[str]:
-    """The process-wide replay-engine choice: :func:`set_replay_backend`
-    override, else ``REPRO_REPLAY_BACKEND``, else None (meaning the
-    :class:`~repro.core.config.GpuConfig` default, "batched")."""
-    if _REPLAY_BACKEND_OVERRIDE is not None:
-        return _REPLAY_BACKEND_OVERRIDE
-    name = os.environ.get("REPRO_REPLAY_BACKEND", "").strip().lower()
-    return name if name in REPLAY_BACKENDS else None
-
-
-def effective_replay_backend(backend: Optional[str] = None) -> str:
-    """The replay engine a run with ``replay_backend=backend`` would use,
-    resolved all the way down: explicit argument, else the process
-    override / ``REPRO_REPLAY_BACKEND``, else the
-    :class:`~repro.core.config.GpuConfig` default ("batched").  Reports
-    and the serve metrics surface this so artifacts record which engine
-    produced them (the engines are bit-identical; this is provenance,
-    not a result-affecting knob)."""
-    if backend is not None:
-        if backend not in REPLAY_BACKENDS:
-            raise ValueError(f"unknown replay backend {backend!r}")
-        return backend
-    return replay_backend_from_env() or GpuConfig().replay_backend
 
 
 @dataclass
@@ -819,7 +781,6 @@ def _run_experiment(
     gpu_config: Optional[GpuConfig] = None,
     use_cache: bool = True,
     observer=None,
-    replay_backend: Optional[str] = None,
     workload: str = "render",
 ) -> ExperimentResult:
     """Evaluate ``technique`` on ``scene_name`` at ``scale``.
@@ -829,11 +790,7 @@ def _run_experiment(
     runs are not memoized).  Pass a :class:`repro.obs.Observer` to trace
     the run (observed runs are never memoized, so the observer always
     sees a real simulation; attaching it does not change the results).
-    ``replay_backend`` picks the replay engine ("batched"/"scalar");
-    None defers to :func:`replay_backend_from_env` and then the
-    :class:`GpuConfig` default.  Engines are bit-identical, so no
-    store key includes the backend — a memoized result satisfies any
-    backend.  ``workload`` picks the ray population ("render" or a
+    ``workload`` picks the ray population ("render" or a
     :mod:`repro.queries` workload) and is part of the result key.
     """
     if workload != "render":
@@ -842,10 +799,6 @@ def _run_experiment(
         check_scene_workload(scene_name, workload)
     inputs = result_inputs(scene_name, technique, scale, workload)
     memoizable = use_cache and gpu_config is None and observer is None
-    if replay_backend is None:
-        replay_backend = replay_backend_from_env()
-    elif replay_backend not in REPLAY_BACKENDS:
-        raise ValueError(f"unknown replay backend {replay_backend!r}")
     with _span(
         "phase.cache_lookup", scene=scene_name, technique=technique.label()
     ) as lookup:
@@ -886,7 +839,6 @@ def _run_experiment(
                 technique, gpu, layout, decomposition
             ),
             observer=observer,
-            replay_backend=replay_backend,
         )
         model.load(traces, bvh, layout)
         stats = model.run()

@@ -3,7 +3,7 @@
 from .cache import AccessOutcome, Cache, CacheStats, LineMeta
 from .dram import Dram, DramStats
 from .event import EventQueue
-from .gpu import GpuModel, REPLAY_BACKENDS, SimulationLimitError
+from .gpu import GpuModel, SimulationLimitError
 from .memsys import (
     MemorySystem,
     REGION_MAPPING,
@@ -29,7 +29,6 @@ __all__ = [
     "REGION_MAPPING",
     "REGION_NODE",
     "REGION_PRIMITIVE",
-    "REPLAY_BACKENDS",
     "RTUnit",
     "RTUnitStats",
     "RayState",

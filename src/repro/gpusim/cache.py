@@ -78,8 +78,8 @@ class LineMeta:
 
     A ``__slots__`` class rather than a dataclass: one instance exists
     per resident line and the fields are read on every probe, so the
-    slot layout (no per-instance dict) measurably helps both replay
-    engines.
+    slot layout (no per-instance dict) measurably helps the replay
+    engine.
     """
 
     __slots__ = ("filled_by_prefetch", "demand_touched", "fill_cycle")

@@ -50,8 +50,8 @@ class EventQueue:
     def drain(self, cycle: int) -> int:
         """Fire every remaining event in order; return the final cycle base.
 
-        This is the single trailing pass both replay engines (and all
-        their units) share after their main loops exit: in-flight memory
+        This is the single trailing pass the replay engine (and all its
+        units) runs after its main loop exits: in-flight memory
         responses (fills, DRAM completions) still land at their
         scheduled cycles, and the cycle counter advances to the latest
         of them.  One heap pop per event — no per-cycle ``run_due``

@@ -1,22 +1,17 @@
 """Top-level GPU: SMs with RT units over a shared memory system.
 
 ``GpuModel.run`` replays a batch of per-ray traversal traces to
-completion and returns :class:`~repro.gpusim.stats.SimStats`.  Two
-replay engines drive the same RT units and memory system:
+completion and returns :class:`~repro.gpusim.stats.SimStats`.  The
+replay engine is event-driven: the loop advances in time buckets
+(pending event cycles plus per-unit wake cycles) and steps only RT
+units with actionable work, crediting the skipped stall cycles in bulk.
+Per-unit wake cycles come from :meth:`RTUnit.next_wake_kind`, which
+folds in the prefetcher's self-scheduled activity (queue releases,
+decision gates, adaptive epochs) so no decision point is ever skipped.
 
-* ``"batched"`` (default) — an event-engine core: the loop advances in
-  time buckets (pending event cycles plus per-unit wake cycles) and
-  steps only RT units with actionable work, crediting the skipped
-  stall cycles in bulk.  Per-unit wake cycles come from
-  :meth:`RTUnit.next_wake`, which folds in the prefetcher's
-  self-scheduled activity (queue releases, decision gates, adaptive
-  epochs) so no decision point is ever skipped.
-* ``"scalar"`` — the reference loop: every unit steps every cycle, with
-  an optional fast-forward over globally-stalled stretches.
-
-Both engines produce bit-identical :class:`SimStats` (pinned by
-``tests/test_replay_backend.py`` across all scenes and techniques);
-"scalar" is kept as the oracle the batched engine is verified against.
+Observed runs (a :class:`repro.obs.Observer` attached) replay on the
+same engine; the statistics, and the trace events they deliver, are
+pinned against the committed goldens of ``tests/golden_replay.py``.
 """
 
 from __future__ import annotations
@@ -38,11 +33,6 @@ from .warp import RayTask
 
 PrefetcherFactory = Callable[[int], Optional[Prefetcher]]
 
-#: Replay engines.  Both produce bit-identical ``SimStats``; "batched"
-#: is the event-driven fast path, "scalar" the per-cycle oracle.
-REPLAY_BACKENDS = ("batched", "scalar")
-
-
 class SimulationLimitError(RuntimeError):
     """The run exceeded ``max_cycles`` (deadlock guard)."""
 
@@ -55,25 +45,10 @@ class GpuModel:
         config: GpuConfig,
         scheduler_policy: str = "baseline",
         prefetcher_factory: Optional[PrefetcherFactory] = None,
-        enable_fast_forward: bool = True,
         timeline: Optional[TimelineSampler] = None,
         observer=None,
-        replay_backend: Optional[str] = None,
     ) -> None:
         self.config = config
-        #: Which engine drives :meth:`run`; explicit argument wins over
-        #: ``config.replay_backend``.  Never affects results.
-        self.replay_backend = replay_backend or getattr(
-            config, "replay_backend", "batched"
-        )
-        if self.replay_backend not in REPLAY_BACKENDS:
-            raise ValueError(
-                f"unknown replay backend {self.replay_backend!r} "
-                f"(known: {', '.join(REPLAY_BACKENDS)})"
-            )
-        #: Skip globally-stalled stretches by jumping to the next event.
-        #: Disabling this must not change any result (tests rely on it).
-        self.enable_fast_forward = enable_fast_forward
         #: Optional occupancy sampler (observational only).
         self.timeline = timeline
         self.events = EventQueue()
@@ -91,6 +66,9 @@ class GpuModel:
                     prefetcher=prefetcher,
                 )
             )
+        # Fills mark their RT unit dirty, so a unit sleeping on full L1
+        # MSHRs is stepped the cycle an entry frees.
+        self.memsys.wake_units = self.units
         #: Optional repro.obs.Observer; attaching is observational only.
         self.observer = observer
         if observer is not None:
@@ -148,110 +126,36 @@ class GpuModel:
         models back-to-back frames.  Statistics are cumulative across
         calls; use :meth:`run_frame` for per-frame deltas.
 
-        The engine is picked by ``replay_backend`` ("batched" or
-        "scalar"); both produce bit-identical statistics.  The deadlock
-        guard is per-run: each call may simulate up to
+        The deadlock guard is per-run: each call may simulate up to
         ``config.max_cycles`` fresh cycles regardless of how far the
         cumulative counter has advanced.
         """
-        if self.replay_backend == "scalar":
-            cycle = self._run_scalar()
-        else:
-            cycle = self._run_batched()
+        cycle = self._replay()
         # Drain any trailing events (e.g. late prefetch fills).  The
         # drain advances the cycle base past the loop exit, and
         # ``_collect`` denominates every rate (DRAM utilization, stall
-        # fractions, IPC) by that extended count — identically in both
-        # backends, so utilization covers the cycles in which the memory
-        # system was genuinely active.
+        # fractions, IPC) by that extended count, so utilization covers
+        # the cycles in which the memory system was genuinely active.
         cycle = self.events.drain(cycle)
         self._current_cycle = cycle
         return self._collect(cycle)
 
-    def _run_scalar(self) -> int:
-        """The oracle engine: step every RT unit every cycle.
-
-        Fast-forward (when enabled) jumps over globally-stalled
-        stretches, bounded by both the next scheduled event and every
-        prefetcher's next self-scheduled activity (decision gates,
-        adaptive epoch boundaries) so a jump never skips a cycle in
-        which a prefetcher would have acted.
-        """
-        config = self.config
-        events = self.events
-        units = self.units
-        # The scalar oracle always runs the per-closure memory system.
-        self.memsys.set_batch_mode(False)
-        start = getattr(self, "_current_cycle", 0)
-        cycle = start
-        while any(unit.busy() for unit in units):
-            if cycle - start > config.max_cycles:
-                raise SimulationLimitError(
-                    f"exceeded {config.max_cycles} cycles; "
-                    "likely a lost memory response"
-                )
-            events.run_due(cycle)
-            if self.timeline is not None:
-                # Sample after responses land but before the units issue,
-                # so "ready rays" reflects wake-ups rather than leftovers.
-                self.timeline.maybe_sample(cycle, units)
-            for unit in units:
-                unit.step(cycle)
-            # Fast-forward across globally idle stretches.
-            if self.enable_fast_forward and self._globally_stalled():
-                next_event = events.next_cycle()
-                if next_event is None:
-                    # Nothing in flight and nothing ready: only possible
-                    # if we are done (checked by the loop condition).
-                    cycle += 1
-                    continue
-                target = next_event
-                for unit in units:
-                    activity = unit.prefetcher.next_activity_cycle(
-                        cycle, unit.vote_version
-                    )
-                    if activity is not None and activity < target:
-                        target = activity
-                if target > cycle + 1:
-                    # The skipped cycles are stalls by construction;
-                    # account them so fast-forward stays exact.  Only
-                    # units with resident warps stall: a unit whose
-                    # buffer is empty here has no pending warps either
-                    # (it would have blocked the global-stall check),
-                    # and in-flight misses imply a resident warp.
-                    skipped = target - cycle - 1
-                    for unit in units:
-                        if unit.buffer:
-                            unit.stats.stall_cycles += skipped
-                            if unit.obs is not None:
-                                unit.obs.emit(
-                                    "rtunit.stall",
-                                    cycle + 1,
-                                    f"RT{unit.sm_id}",
-                                    dur=skipped,
-                                )
-                    cycle = target
-                    continue
-            cycle += 1
-        return cycle
-
-    def _run_batched(self) -> int:
+    def _replay(self) -> int:
         """The event-engine core: advance in time buckets, step only
         units with actionable work.
 
         A bucket is processed at every pending event cycle and at every
-        per-unit wake cycle (:meth:`RTUnit.next_wake`: admittable
+        per-unit wake cycle (:meth:`RTUnit.next_wake_kind`: admittable
         pending warps, issue-ready rays with a free MSHR, test-FIFO due
         cycles, and the prefetcher's self-scheduled activity).  Event
         callbacks mark their unit dirty so data arrivals are acted on in
-        the same cycle, exactly like the scalar loop's
-        run-events-then-step ordering.  Cycles a unit skips are, by
-        construction, cycles its step would only have counted as stalls;
-        they are credited in bulk at its next step using the stall kind
-        (:meth:`RTUnit.idle_kind`) captured when the skip began — warp
-        state can only change in a step or an event callback, and every
-        callback dirties the unit, so the kind is constant across any
-        skipped stretch.
+        the same cycle they land: each bucket runs its events first,
+        then steps the units.  Cycles a unit skips are, by construction,
+        cycles its step would only have counted as stalls; they are
+        credited in bulk at its next step using the stall kind captured
+        when the skip began — warp state can only change in a step or an
+        event callback, and every callback dirties the unit, so the kind
+        is constant across any skipped stretch.
         """
         config = self.config
         events = self.events
@@ -267,16 +171,6 @@ class GpuModel:
         kinds = [0] * n
         run_due = events.run_due
         next_cycle = events.next_cycle
-
-        def on_fill(sm: int, _units=units) -> None:
-            _units[sm].dirty = True
-
-        # Wake MSHR-sleeping units the moment a fill frees an entry.
-        self.memsys.fill_listener = on_fill
-        # Agenda-batched memory system: per-cycle buckets replace
-        # per-line closures, observed or not.  The batch flag stays on
-        # through the trailing ``events.drain`` in :meth:`run`.
-        self.memsys.set_batch_mode(True, units)
         if not any(unit.busy() for unit in units):
             return cycle
         while True:
@@ -306,7 +200,7 @@ class GpuModel:
                 # unit's own rays and additive shared counters, and a
                 # step enqueues work strictly in the future (latencies
                 # are >= 1), so interleaving them per unit is
-                # bit-identical to the drain-all-then-step-all order.
+                # equivalent to the drain-all-then-step-all order.
                 # The heads are checked here (each FIFO is in due order)
                 # so non-due queues cost no call.
                 fifo = unit._hit_responses
@@ -346,15 +240,14 @@ class GpuModel:
                                     dur=gap,
                                     args={"reason": "mshr"},
                                 )
-                    unit.step_fast(cycle)
+                    unit.step(cycle)
                     last_step[i] = cycle
                     wakes[i], kinds[i] = unit.next_wake_kind(cycle)
             # A unit only goes idle inside a step (retirement, degenerate
             # admits), so the completion check is needed only on buckets
             # that stepped someone.
             if stepped and not any(unit.busy() for unit in units):
-                # Mirror the scalar loop's post-iteration increment: the
-                # cycle counter rests one past the last worked cycle.
+                # The cycle counter rests one past the last worked cycle.
                 cycle += 1
                 break
             # Test-FIFO and hit-response due cycles are folded into each
@@ -392,16 +285,6 @@ class GpuModel:
         self.load(traces, bvh, layout)
         self.run()
         return self._current_cycle - start
-
-    def _globally_stalled(self) -> bool:
-        for unit in self.units:
-            if unit.ready_total() > 0:
-                return False
-            if unit.prefetcher.queue_depth() > 0:
-                return False
-            if unit.pending_warps and len(unit.buffer) < self.config.warp_buffer_size:
-                return False
-        return True
 
     def _collect(self, cycles: int) -> SimStats:
         stats = SimStats(cycles=max(1, cycles))

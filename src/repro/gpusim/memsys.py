@@ -17,14 +17,17 @@ Two prefetch destinations are modeled (``GpuConfig.prefetch_destination``):
   (Jouppi-style, Section 2.3).  This trades pollution for an extra
   transfer step and is compared in ``bench_ablation_destination``.
 
-Two scheduling regimes drive the same state (:meth:`MemorySystem.
-set_batch_mode`): the scalar regime schedules one closure per
-transfer/fill on the event heap (the oracle, and the path every obs
-emit lives on), while the batched regime — used by the batched replay
-engine when tracing is off — groups outstanding work into per-cycle
-agenda buckets and classifies each bucket's L1/L2/stream-buffer
-transfers in a single flush pass.  Both are bit-identical; the golden
-suite in ``tests/test_replay_backend.py`` pins it.
+Outstanding work lives in per-cycle *agenda buckets* (``cycle ->
+[record tuples]``) with a single flush event per distinct cycle on the
+event queue.  Within a bucket the flush classifies every pending
+L1/L2/stream-buffer transfer in one pass: bulk numpy address arithmetic
+for large buckets, L2 MSHR waiters stored as ``(fill_kind, sm)`` tuples
+instead of closures, and same-cycle DRAM misses routed to their
+partitions in one :meth:`~repro.gpusim.dram.Dram.service_many` call.
+The L1 probe, the L2 probe and the fills are inlined from
+:class:`~repro.gpusim.cache.Cache`, trace events included, so an
+attached trace bus observes exactly this path.  The committed goldens
+of ``tests/golden_replay.py`` pin its statistics and events.
 """
 
 from __future__ import annotations
@@ -55,10 +58,9 @@ REGION_NODE = "node"
 REGION_PRIMITIVE = "primitive"
 REGION_MAPPING = "mapping"
 
-# Agenda record kinds for the batched memory system (see
-# ``MemorySystem.set_batch_mode``).  Records are plain tuples headed by
-# one of these tags; 0-2 are L2 transfers still carrying a byte address,
-# 3-5 are fills carrying a line id, 6 wraps an arbitrary callback.
+# Agenda record kinds.  Records are plain tuples headed by one of these
+# tags; 0-2 are L2 transfers still carrying a byte address, 3-5 are
+# fills carrying a line id, 6 wraps an arbitrary callback.
 _TO_L2_DEMAND = 0  # (0, sm, address): demand miss heading to L2 -> L1
 _TO_L2_PREFETCH = 1  # (1, sm, address): prefetch heading to L2 -> L1
 _TO_L2_STREAM = 2  # (2, sm, address): prefetch heading to L2 -> stream buffer
@@ -141,15 +143,13 @@ class MemorySystem:
         self.stream_buffer_hits = 0
         #: optional trace bus (repro.obs); None = tracing disabled.
         self.obs = None
-        #: optional ``listener(sm)`` invoked on every L1 / stream-buffer
-        #: fill.  The batched replay engine installs one to wake units
-        #: sleeping on full L1 MSHRs — fills are the only transition
-        #: that frees an MSHR, so this hook makes that sleep exact.
-        self.fill_listener: Optional[Callable[[int], None]] = None
-        #: Batched (agenda) mode — see :meth:`set_batch_mode`.
-        self.batch = False
+        #: RT units indexed by SM, or None.  Every L1 / stream-buffer fill
+        #: marks its SM's unit dirty, which wakes a unit sleeping on full
+        #: L1 MSHRs: fills are the only transition that frees an MSHR,
+        #: so that sleep is exact.  :class:`GpuModel` installs its units.
+        self.wake_units: Optional[list] = None
+        #: Pending agenda buckets, ``cycle -> [record tuples]``.
         self._agenda: Dict[int, list] = {}
-        self._wake_units: Optional[list] = None
         #: Invariant locals for :meth:`_flush`, packed once so the (hot,
         #: often tiny-bucket) flush unpacks a single attribute instead
         #: of rebinding a dozen.  Every component is stable for this
@@ -166,10 +166,6 @@ class MemorySystem:
             self.l2_traffic,
         )
         self._l1_latency = config.l1.latency
-        #: The active L1 entry point, pre-bound so the hot callers
-        #: (``access`` and the RT unit's fused issue path) skip the
-        #: per-access regime dispatch in :meth:`_l1_access`.
-        self.l1_entry: Callable[..., AccessOutcome] = self._l1_access_scalar
         if self.uses_stream_buffers:
             self.stream_buffers = [
                 Cache(config.stream_buffer, name=f"SB[{sm}]")
@@ -206,7 +202,7 @@ class MemorySystem:
             responder = self._latency_recorder(
                 cycle, region, callback, sm, address
             )
-        return self.l1_entry(sm, address, cycle, is_prefetch, responder)
+        return self.l1_access(sm, address, cycle, is_prefetch, responder)
 
     def drain_complete(self) -> bool:
         """True when no fills are in flight anywhere."""
@@ -222,36 +218,7 @@ class MemorySystem:
             merged.merge(tracker.finalize())
         return merged
 
-    # -- batched (agenda) mode ----------------------------------------------
-
-    def set_batch_mode(self, enabled: bool, wake_units=None) -> None:
-        """Switch the memory system between its two scheduling regimes.
-
-        Scalar (default): every transfer/fill is a per-line closure on
-        the event heap — the oracle path, also used whenever a trace bus
-        is attached (it carries the obs emits).
-
-        Batched: outstanding work lives in per-cycle *agenda buckets*
-        (`cycle -> [record tuples]`) with a single flush event per
-        distinct cycle on the heap.  Within a bucket the flush
-        classifies every pending L1/L2/stream-buffer transfer in one
-        pass — bulk numpy address arithmetic for large buckets, L2 MSHR
-        waiters stored as ``(fill_kind, sm)`` tuples instead of
-        closures, and same-cycle DRAM misses routed to their partitions
-        in one :meth:`~repro.gpusim.dram.Dram.service_many` call.
-
-        Ordering is preserved *exactly*: every event the memory system
-        used to push on the heap is appended to its cycle's bucket at
-        the same call site, so append order equals the heap's FIFO
-        counter order and the two regimes stay bit-identical (the
-        golden suite pins this).  ``wake_units`` lets fills mark their
-        RT unit dirty directly instead of through ``fill_listener``.
-        """
-        self.batch = bool(enabled)
-        self._wake_units = list(wake_units) if (enabled and wake_units) else None
-        self.l1_entry = (
-            self._l1_access_batched if self.batch else self._l1_access_scalar
-        )
+    # -- agenda -------------------------------------------------------------
 
     def _enqueue(self, cycle: int, record) -> None:
         """Append ``record`` to the agenda bucket for ``cycle``,
@@ -271,11 +238,10 @@ class MemorySystem:
         """Process every agenda record due at ``at`` in append order.
 
         L2 transfers are classified inline against the L2 tag/MSHR
-        state (mirroring ``Cache.probe`` — the obs path is impossible
-        here, batch mode requires tracing disabled).  DRAM misses are
-        collected and serviced in bulk after the scan; their completion
-        cycles are strictly later than any same-bucket L2 hit fill
-        (``done >= request + burst + latency``), so deferring them
+        state (mirroring ``Cache.probe``, trace events included).  DRAM
+        misses are collected and serviced in bulk after the scan; their
+        completion cycles are strictly later than any same-bucket L2 hit
+        fill (``done >= request + burst + latency``), so deferring them
         never reorders same-cycle events.
         """
         bucket = self._agenda.pop(at)
@@ -292,7 +258,7 @@ class MemorySystem:
         ) = self._flush_env
         obs = self.obs
         enqueue = self._enqueue
-        fill_l1 = self._fill_l1_batched
+        fill_l1 = self._fill_l1
         fill_stream = self._fill_stream
         # Every L2 hit in this flush lands in the same future bucket
         # (``at + l2_latency``); resolve it once instead of per record.
@@ -407,15 +373,11 @@ class MemorySystem:
                         fill_cycle=at,
                     )
                 if entry is not None:
-                    for waiter in entry.waiters:
-                        if waiter.__class__ is tuple:
-                            if waiter[0] == _FILL_L1:
-                                fill_l1(waiter[1], line, at)
-                            else:
-                                fill_stream(waiter[1], line, at)
+                    for fill_kind, sm in entry.waiters:
+                        if fill_kind == _FILL_L1:
+                            fill_l1(sm, line, at)
                         else:
-                            # A closure parked before batch mode took over.
-                            waiter(at)
+                            fill_stream(sm, line, at)
             else:  # _CALL
                 record[1](at)
         if misses is not None:
@@ -434,7 +396,7 @@ class MemorySystem:
 
     # -- L1 path --------------------------------------------------------------
 
-    def _l1_access(
+    def l1_access(
         self,
         sm: int,
         address: int,
@@ -442,80 +404,15 @@ class MemorySystem:
         is_prefetch: bool,
         responder: Optional[ResponseCallback],
     ) -> AccessOutcome:
-        """Regime-dispatching L1 entry; hot callers use the pre-bound
-        :attr:`l1_entry` instead."""
-        return self.l1_entry(sm, address, cycle, is_prefetch, responder)
+        """Probe SM ``sm``'s L1 for ``address`` at ``cycle``.
 
-    def _l1_access_scalar(
-        self,
-        sm: int,
-        address: int,
-        cycle: int,
-        is_prefetch: bool,
-        responder: Optional[ResponseCallback],
-    ) -> AccessOutcome:
-        l1 = self.l1s[sm]
-        tracker = self.trackers[sm]
-        line = address // l1._line_bytes
-        # Classify for the effectiveness tracker *before* the probe: the
-        # probe only mutates LRU order, ``demand_touched``, and MSHR
-        # ownership, so the live pre-probe state is exactly the prior
-        # state — no snapshot copy needed.  The outcome derivation must
-        # mirror ``Cache.probe`` (resident -> HIT, in flight ->
-        # PENDING_HIT, else MISS); the golden bit-identity suite pins it.
-        set_map = l1._sets.get(line % l1._n_sets)
-        meta = set_map.get(line) if set_map is not None else None
-        if meta is not None:
-            prior_owner = None
-            pre_outcome = AccessOutcome.HIT
-        else:
-            entry = l1._mshrs.get(line)
-            prior_owner = entry.is_prefetch if entry is not None else None
-            pre_outcome = (
-                AccessOutcome.MISS
-                if prior_owner is None
-                else AccessOutcome.PENDING_HIT
-            )
-        if is_prefetch:
-            tracker.on_prefetch_probe(line, pre_outcome, meta, prior_owner)
-        else:
-            tracker.on_demand_probe(line, pre_outcome, meta, prior_owner)
-
-        outcome = l1.probe(line, is_prefetch, waiter=responder, cycle=cycle)
-
-        if outcome is AccessOutcome.HIT:
-            if responder is not None:
-                self.events.schedule(cycle + self.config.l1.latency, responder)
-        elif outcome is AccessOutcome.MISS:
-            if not is_prefetch and self.uses_stream_buffers:
-                # The stream buffer may already hold (or be fetching)
-                # this line; intercept before going below.
-                if self._demand_checks_stream(sm, address, line, cycle):
-                    return outcome
-            # Tag-check time at L1, then go below.
-            self.events.schedule(
-                cycle + self.config.l1.latency,
-                lambda at, a=address, s=sm, p=is_prefetch: self._to_l2(
-                    s, a, p, at, target="l1"
-                ),
-            )
-        # PENDING_HIT: the waiter is parked on the MSHR; nothing to do.
-        return outcome
-
-    def _l1_access_batched(
-        self,
-        sm: int,
-        address: int,
-        cycle: int,
-        is_prefetch: bool,
-        responder: Optional[ResponseCallback],
-    ) -> AccessOutcome:
-        """Agenda-mode L1 access: one tag lookup serves both the
-        effectiveness classification and the probe (whose stat/LRU/MSHR
-        bodies are inlined from ``Cache.probe`` — batch mode implies
-        tracing is disabled, so the obs emits cannot apply), and
-        downstream work lands in agenda buckets instead of per-line
-        heap closures.  Bit-identical to :meth:`_l1_access`."""
+        One tag lookup serves both the effectiveness classification and
+        the probe, whose stat/LRU/MSHR bodies and trace events are
+        inlined from ``Cache.probe``.  ``responder(done_cycle)`` runs
+        when the data is available (it is queued on the MSHR for a
+        miss or pending hit); the miss's L2 transfer lands in the agenda
+        bucket one L1 latency later.  Returns the probe outcome.
+        """
         obs = self.obs
         l1 = self.l1s[sm]
         tracker = self.trackers[sm]
@@ -615,11 +512,9 @@ class MemorySystem:
                 line, AccessOutcome.HIT, _snapshot(l1_meta), None
             )
             if callback is not None:
-                due = cycle + self.config.l1.latency
-                if self.batch:
-                    self._enqueue(due, (_CALL, callback))
-                else:
-                    self.events.schedule(due, callback)
+                self._enqueue(
+                    cycle + self.config.l1.latency, (_CALL, callback)
+                )
             return AccessOutcome.HIT
         l1_owner = l1.mshr_owner_is_prefetch(line)
         if l1_owner is not None:
@@ -635,24 +530,12 @@ class MemorySystem:
             line, is_prefetch=True, waiter=callback, cycle=cycle
         )
         tracker.on_prefetch_probe(line, outcome, prior_meta, prior_owner)
+        due = cycle + self.config.stream_buffer.latency
         if outcome is AccessOutcome.HIT:
             if callback is not None:
-                due = cycle + self.config.stream_buffer.latency
-                if self.batch:
-                    self._enqueue(due, (_CALL, callback))
-                else:
-                    self.events.schedule(due, callback)
+                self._enqueue(due, (_CALL, callback))
         elif outcome is AccessOutcome.MISS:
-            due = cycle + self.config.stream_buffer.latency
-            if self.batch:
-                self._enqueue(due, (_TO_L2_STREAM, sm, address))
-            else:
-                self.events.schedule(
-                    due,
-                    lambda at, a=address, s=sm: self._to_l2(
-                        s, a, True, at, target="stream"
-                    ),
-                )
+            self._enqueue(due, (_TO_L2_STREAM, sm, address))
         return outcome
 
     def _demand_checks_stream(
@@ -675,14 +558,10 @@ class MemorySystem:
             self.stream_buffer_hits += 1
             # One buffer-access latency for the transfer, then the line
             # lands in L1 and the parked waiters get their data.
-            due = cycle + self.config.stream_buffer.latency
-            if self.batch:
-                self._enqueue(due, (_FILL_L1, sm, line))
-            else:
-                self.events.schedule(
-                    due,
-                    lambda at, s=sm, ln=line: self._fill_l1(s, ln, at),
-                )
+            self._enqueue(
+                cycle + self.config.stream_buffer.latency,
+                (_FILL_L1, sm, line),
+            )
             return True
         owner = buffer.mshr_owner_is_prefetch(line)
         if owner is not None:
@@ -750,25 +629,9 @@ class MemorySystem:
         )
 
     def _fill_l1(self, sm: int, line: int, cycle: int) -> None:
-        tracker = self.trackers[sm]
-        was_prefetch = self.l1s[sm].mshr_owner_is_prefetch(line)
-        waiters = self.l1s[sm].fill(line, cycle)
-        tracker.on_fill(line, bool(was_prefetch))
-        wake = self._wake_units
-        if wake is not None:
-            wake[sm].dirty = True
-        elif self.fill_listener is not None:
-            self.fill_listener(sm)
-        if was_prefetch and self.obs is not None:
-            self._trace_prefetch_fill(self.l1s[sm].name, sm, line, cycle)
-        for waiter in waiters:
-            waiter(cycle)
-
-    def _fill_l1_batched(self, sm: int, line: int, cycle: int) -> None:
-        """Agenda-mode L1 fill: the ``Cache.fill`` body inlined around a
-        single MSHR pop (batch mode implies no obs emits, and the fused
-        pop serves both the prefetch-attribution lookup and the fill).
-        Bit-identical to :meth:`_fill_l1`."""
+        """A line lands in SM ``sm``'s L1: the ``Cache.fill`` body
+        inlined around a single MSHR pop, which serves both the
+        prefetch-attribution lookup and the fill; then the waiters run."""
         l1 = self.l1s[sm]
         entry = l1._mshrs.pop(line, None)
         filled_by_prefetch = entry is not None and entry.is_prefetch
@@ -792,11 +655,9 @@ class MemorySystem:
                 filled_by_prefetch=filled_by_prefetch, fill_cycle=cycle
             )
         self.trackers[sm].on_fill(line, filled_by_prefetch)
-        wake = self._wake_units
+        wake = self.wake_units
         if wake is not None:
             wake[sm].dirty = True
-        elif self.fill_listener is not None:
-            self.fill_listener(sm)
         if filled_by_prefetch and self.obs is not None:
             self._trace_prefetch_fill(l1.name, sm, line, cycle)
         if entry is not None:
@@ -809,46 +670,10 @@ class MemorySystem:
         was_prefetch = buffer.mshr_owner_is_prefetch(line)
         waiters = buffer.fill(line, cycle)
         tracker.on_fill(line, bool(was_prefetch))
-        wake = self._wake_units
+        wake = self.wake_units
         if wake is not None:
             wake[sm].dirty = True
-        elif self.fill_listener is not None:
-            self.fill_listener(sm)
         if was_prefetch and self.obs is not None:
             self._trace_prefetch_fill(buffer.name, sm, line, cycle)
         for waiter in waiters:
             waiter(cycle)
-
-    def _to_l2(
-        self, sm: int, address: int, is_prefetch: bool, cycle: int,
-        target: str = "l1",
-    ) -> None:
-        line = self.l2.line_of(address)
-        if is_prefetch:
-            self.l2_traffic.prefetch_accesses += 1
-        else:
-            self.l2_traffic.demand_accesses += 1
-
-        if target == "l1":
-            def fill_upper(at: int, s=sm, ln=line) -> None:
-                self._fill_l1(s, ln, at)
-        else:
-            def fill_upper(at: int, s=sm, ln=line) -> None:
-                self._fill_stream(s, ln, at)
-
-        outcome = self.l2.probe(
-            line, is_prefetch, waiter=fill_upper, cycle=cycle
-        )
-        if outcome is AccessOutcome.HIT:
-            self.events.schedule(cycle + self.config.l2.latency, fill_upper)
-        elif outcome is AccessOutcome.MISS:
-            # L2 tag check, then DRAM; DRAM completion fills L2 then up.
-            request_cycle = cycle + self.config.l2.latency
-            done = self.dram.service(address, request_cycle)
-
-            def fill_l2(at: int, ln=line) -> None:
-                for waiter in self.l2.fill(ln, at):
-                    waiter(at)
-
-            self.events.schedule(done, fill_l2)
-        # PENDING_HIT: fill_upper is parked on the L2 MSHR.

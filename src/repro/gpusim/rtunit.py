@@ -7,17 +7,14 @@ one queued prefetch if a port is left over ("when the memory scheduler
 is not busy servicing demand loads"), and (4) ticks the prefetcher's
 decision logic.
 
-Two step implementations share that contract:
-
-* :meth:`RTUnit.step` — the oracle: straight-line code, one heap event
-  per ray test, full warp scans.  The scalar replay engine uses it.
-* :meth:`RTUnit.step_fast` — the batched engine's path: the ready-ray
-  scan exits early via ``ready_count``, box/primitive test completions
-  go through per-unit FIFO queues instead of the global event heap
-  (their latencies are constants, so due cycles are already in order),
-  and response callbacks are fused (no intermediate dispatch layers).
-  Bit-identical statistics to :meth:`step` by construction; pinned by
-  ``tests/test_replay_backend.py``.
+:meth:`RTUnit.step` is driven by the replay engine in
+:class:`~repro.gpusim.gpu.GpuModel`, which steps a unit only on cycles
+where it has actionable work.  The ready-ray scan walks a bitmask of
+ready rays, an L1 resident hit is serviced inline (the response waits
+on the unit's hit FIFO instead of the event heap), and box/primitive
+test completions go through per-unit FIFO queues: their latencies are
+constants, so due cycles are already in order.
+:meth:`RTUnit.run_tests_due` delivers what is due before each step.
 """
 
 from __future__ import annotations
@@ -75,20 +72,19 @@ class RTUnit:
         #: bumped whenever warp-buffer vote state changes (voter gate).
         self.vote_version = 0
         #: set by event callbacks (memory responses, test completions)
-        #: so the batched replay engine steps this unit in the same
-        #: cycle the data lands, matching the scalar loop's
-        #: run-events-then-step order.  The engine clears it.
+        #: so the replay engine steps this unit in the same cycle the
+        #: data lands.  The engine clears it.
         self.dirty = False
-        #: batched-path op-unit pipelines: FIFOs of ``(due, warp, ray)``
+        #: op-unit pipelines: FIFOs of ``(due, warp, ray)``
         #: test completions.  Box and primitive test latencies are each
         #: a constant, so within one queue due cycles are appended in
         #: nondecreasing order and a deque replaces per-ray heap events.
         self._box_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
         self._prim_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
-        #: batched-path L1-hit responses awaiting delivery, as
-        #: ``(due, is_node, warp, rays, issue_cycle, line)``.  Hit latency is a
-        #: constant, so due cycles are appended in nondecreasing order
-        #: and a deque replaces the scalar path's heap events.
+        #: L1-hit responses awaiting delivery, as
+        #: ``(due, is_node, warp, rays, issue_cycle, line)``.  Hit latency
+        #: is a constant, so due cycles are appended in nondecreasing
+        #: order and a deque replaces per-response heap events.
         self._hit_responses: Deque[
             Tuple[int, bool, WarpSlot, List[RayTask], int, int]
         ] = deque()
@@ -97,7 +93,7 @@ class RTUnit:
         self._adaptive_feedback = (
             getattr(self.prefetcher, "adaptive", None) is not None
         )
-        #: exactly the no-op base prefetcher: the batched step skips its
+        #: exactly the no-op base prefetcher: the step skips its
         #: (empty) hooks wholesale.  Exact-type test so every subclass
         #: keeps full behavior.
         self._null_prefetcher = type(self.prefetcher) is Prefetcher
@@ -121,7 +117,7 @@ class RTUnit:
         self._tracker = memsys.trackers[sm_id]
         #: merged next-treelet vote counts over the buffer's warps,
         #: maintained incrementally by the WarpSlots; the majority voter
-        #: reads this instead of re-merging per decision (both engines).
+        #: reads this instead of re-merging per decision.
         self._alive_votes: Dict[int, int] = {}
         if hasattr(self.prefetcher, "vote_counts"):
             self.prefetcher.vote_counts = self._alive_votes
@@ -139,70 +135,26 @@ class RTUnit:
     def ready_total(self) -> int:
         return sum(warp.ready_count for warp in self.buffer)
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle this unit must be stepped absent events.
-
-        The batched replay engine skips a unit between its last step and
-        this cycle; the skipped steps would only have counted stalls
-        (no admit possible, no issue-ready ray, no prefetcher activity),
-        which the engine credits in bulk.  ``None`` means the unit is
-        purely event-driven until something marks it dirty.
-        """
-        wake: Optional[int] = None
-        if self.pending_warps and len(self.buffer) < self._warp_buffer_size:
-            wake = cycle + 1  # an admit can happen next cycle
-        else:
-            for warp in self.buffer:
-                if warp.ready_count:
-                    if not self._l1.mshr_full():
-                        # A warp is selectable and the L1 can take the
-                        # access: the unit issues next cycle.
-                        wake = cycle + 1
-                    # else: selectable but MSHR-blocked — every cycle
-                    # until an L1 fill is a pure MSHR stall (credited in
-                    # bulk via :meth:`idle_kind`).  Fills are the only
-                    # way MSHRs free up, and each fill dirties the unit
-                    # through the memory system's fill listener, so
-                    # sleeping until the prefetcher's next activity is
-                    # exact.
-                    break
-            if wake is None:
-                wake = self.prefetcher.next_activity_cycle(
-                    cycle, self.vote_version
-                )
-        # Fold in the earliest queued test completion and hit response.
-        # Both FIFOs only grow in event callbacks or issue steps (each
-        # followed by a fresh wake) and shrink in the engine's drain
-        # (which dirties the unit, forcing a step and a fresh wake), so
-        # the heads captured here stay the earliest until the next step.
-        tests = self.next_test_cycle()
-        if tests is not None and (wake is None or tests < wake):
-            wake = tests
-        if self._hit_responses:
-            due = self._hit_responses[0][0]
-            if wake is None or due < wake:
-                return due
-        return wake
-
-    def idle_kind(self) -> int:
-        """What each cycle skipped after this step would have counted.
-
-        0 = nothing (empty warp buffer), 1 = ``stall_cycles`` (resident
-        warps, none selectable), 2 = ``mshr_stall_cycles`` (selectable
-        warp held off by full L1 MSHRs).  Valid for the whole gap until
-        the next step: any event that changes warp state dirties the
-        unit and ends the gap at that event's cycle.
-        """
-        for warp in self.buffer:
-            if warp.ready_count:
-                return 2
-        return 1 if self.buffer else 0
-
     def next_wake_kind(self, cycle: int):
-        """:meth:`next_wake` and :meth:`idle_kind` fused into one buffer
-        scan — the batched engine calls both after every step, so the
-        pair dominates the loop's bookkeeping.  Returns
-        ``(wake, kind)``; semantics are verbatim from the two methods."""
+        """When this unit must next be stepped, and what the cycles it
+        skips until then count as; returns ``(wake, kind)``.
+
+        ``wake`` is the earliest future cycle the unit has actionable
+        work absent events: an admittable pending warp or an issue-ready
+        ray with a free L1 MSHR (next cycle), the prefetcher's next
+        self-scheduled activity, or the head of a test or hit-response
+        FIFO.  ``None`` means the unit is purely event-driven until
+        something marks it dirty.  A selectable warp held off by full L1
+        MSHRs sleeps until a fill: fills are the only way MSHRs free up,
+        and each fill dirties the unit.
+
+        ``kind`` is what each skipped cycle would have counted: 0 =
+        nothing (empty warp buffer), 1 = ``stall_cycles`` (resident
+        warps, none selectable), 2 = ``mshr_stall_cycles`` (selectable
+        warp held off by full L1 MSHRs).  It holds for the whole gap:
+        any event that changes warp state dirties the unit and ends the
+        gap at that event's cycle.
+        """
         buffer = self.buffer
         ready = False
         for warp in buffer:
@@ -242,100 +194,8 @@ class RTUnit:
     # -- per-cycle step -----------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        # (1) Admit one pending warp per cycle into free buffer slots.
-        if self.pending_warps and len(self.buffer) < self.config.warp_buffer_size:
-            rays = self.pending_warps.popleft()
-            slot = WarpSlot(
-                self._next_warp_id, rays, cycle, shared_votes=self._alive_votes
-            )
-            self._next_warp_id += 1
-            if slot.done:  # degenerate warp of empty traces
-                self.stats.warps_retired += 1
-            else:
-                self.buffer.append(slot)
-                self.vote_version += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "warp.issue",
-                        cycle,
-                        f"SM{self.sm_id}",
-                        args=slot.trace_args(),
-                    )
-        # (2) Demand issue from the scheduled warp.
-        issued = 0
-        warp = select_warp(
-            self.scheduler_policy,
-            self.buffer,
-            self.prefetcher.last_prefetched_treelet,
-        )
-        if warp is not None and self.memsys.can_accept(self.sm_id):
-            issued = self._issue_demand(warp, cycle)
-            if issued:
-                self.stats.busy_cycles += 1
-        elif warp is not None:
-            # A warp was selectable but the L1's MSHRs are full: the
-            # unit is bandwidth-bound, not latency-bound.  Counted
-            # separately so prefetch-induced MSHR pressure is visible.
-            self.stats.mshr_stall_cycles += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1,
-                    args={"reason": "mshr"},
-                )
-        elif self.buffer:
-            # Warps resident but every ray is waiting on memory or the
-            # op units: the latency-bound stall the paper targets.
-            self.stats.stall_cycles += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1
-                )
-        # (3) One prefetch on a leftover port.
-        if issued < self.config.mem_ports:
-            request = self.prefetcher.pop_prefetch(cycle)
-            if request is not None:
-                self.stats.prefetches_issued += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "prefetch.issue",
-                        cycle,
-                        f"RT{self.sm_id}",
-                        args={
-                            "sm": self.sm_id,
-                            "address": request.address,
-                            "line": request.address
-                            // self.config.l1.line_bytes,
-                            "region": request.region,
-                        },
-                    )
-                callback = request.on_complete
-                if callback is not None:
-                    # Completion callbacks can unblock the prefetcher
-                    # (Strict Wait table loads); make sure the batched
-                    # engine steps this unit when they fire.
-                    callback = self._mark_dirty(callback)
-                self.memsys.access(
-                    self.sm_id,
-                    request.address,
-                    cycle,
-                    is_prefetch=True,
-                    region=request.region,
-                    callback=callback,
-                )
-        # (4) Prefetcher decision logic (+ effectiveness feedback for
-        # adaptive throttles).
-        self.prefetcher.on_feedback(
-            cycle, self.memsys.trackers[self.sm_id].counts
-        )
-        self.prefetcher.on_cycle(cycle, self.buffer, self.vote_version)
-
-    def step_fast(self, cycle: int) -> None:
-        """Batched-engine step: same contract as :meth:`step`, fast paths.
-
-        Differences are implementation-only: the ready-ray scan exits
-        early, responses use fused callbacks that feed the test FIFOs,
-        and everything else is verbatim from the oracle.
-        """
+        """One cycle of the unit: admit, issue demands, issue one
+        prefetch on a leftover port, tick the prefetcher."""
         buffer = self.buffer
         stats = self.stats
         prefetcher = self.prefetcher
@@ -372,7 +232,7 @@ class RTUnit:
                 prefetcher.last_prefetched_treelet,
             )
         if warp is not None and not self._l1.mshr_full():
-            issued = self._issue_demand_fast(warp, cycle)
+            issued = self._issue_demand_lines(warp, cycle)
             if issued:
                 stats.busy_cycles += 1
         elif warp is not None:
@@ -410,7 +270,12 @@ class RTUnit:
                     )
                 callback = request.on_complete
                 if callback is not None:
-                    callback = self._mark_dirty(callback)
+                    # Completion callbacks can unblock the prefetcher
+                    # (Strict Wait table loads): step this unit then.
+                    def callback(at: int, done=callback) -> None:
+                        self.dirty = True
+                        done(at)
+
                 self.memsys.access(
                     self.sm_id,
                     request.address,
@@ -425,90 +290,23 @@ class RTUnit:
 
     # -- demand path --------------------------------------------------------
 
-    def _issue_demand(self, warp: WarpSlot, cycle: int) -> int:
+    def _issue_demand_lines(self, warp: WarpSlot, cycle: int) -> int:
         """Issue coalesced line loads for the warp's ready rays.
 
         Rays of one warp touching the same line in the same cycle share a
         single L1 access (the GPU coalescer).  Returns lines issued.
-        """
-        ports = self.config.mem_ports
-        node_groups: Dict[int, Tuple[int, List[RayTask]]] = {}
-        prim_groups: Dict[int, Tuple[int, List[RayTask]]] = {}
-        line_bytes = self.config.l1.line_bytes
-
-        def claim(groups: Dict, address: int) -> Optional[List[RayTask]]:
-            line = address // line_bytes
-            if line in groups:
-                return groups[line][1]
-            if len(node_groups) + len(prim_groups) >= ports:
-                return None
-            groups[line] = (address, [])
-            return groups[line][1]
-
-        for ray in warp.rays:
-            if ray.state is RayState.FETCH_READY:
-                # SoA fast path: index the precomputed per-visit lists
-                # directly instead of going through the accessors.
-                address = ray.addresses[ray.cursor]
-                members = claim(node_groups, address)
-                if members is None:
-                    continue
-                members.append(ray)
-                warp.note_unready(ray, ray.treelets[ray.cursor])
-                ray.state = RayState.WAIT_NODE
-            elif ray.state is RayState.PRIM_READY and ray.prim_lines_pending:
-                while ray.prim_lines_pending:
-                    address = ray.prim_lines_pending[0]
-                    members = claim(prim_groups, address)
-                    if members is None:
-                        break
-                    ray.prim_lines_pending.pop(0)
-                    ray.prim_lines_outstanding += 1
-                    members.append(ray)
-                if not ray.prim_lines_pending:
-                    warp.note_unready(ray, ray.treelets[ray.cursor])
-                    ray.state = RayState.WAIT_PRIM
-
-        for line, (address, rays) in node_groups.items():
-            self.stats.node_fetches_issued += 1
-            self.prefetcher.on_demand_issue(warp.warp_id, address, cycle)
-            self.memsys.access(
-                self.sm_id,
-                address,
-                cycle,
-                region=REGION_NODE,
-                callback=self._node_response(warp, list(rays)),
-            )
-        for line, (address, rays) in prim_groups.items():
-            self.stats.primitive_fetches_issued += 1
-            self.prefetcher.on_demand_issue(warp.warp_id, address, cycle)
-            self.memsys.access(
-                self.sm_id,
-                address,
-                cycle,
-                region=REGION_PRIMITIVE,
-                callback=self._prim_response(warp, list(rays)),
-            )
-        return len(node_groups) + len(prim_groups)
-
-    def _issue_demand_fast(self, warp: WarpSlot, cycle: int) -> int:
-        """Fast-path :meth:`_issue_demand`: bitmask scan, fused memory path.
 
         ``warp.ready_mask`` has exactly one bit set per ray in
         ``FETCH_READY`` or ``PRIM_READY``, so the scan walks only the
-        ready rays (lowest slot first — the same order as the oracle's
-        full-warp scan).  A ports-full skip leaves a ray's bit set, and
-        the scan keeps going because later rays can still coalesce into
-        already-claimed lines.
+        ready rays, lowest slot first.  A ports-full skip leaves a ray's
+        bit set, and the scan keeps going because later rays can still
+        coalesce into already-claimed lines.
 
-        When no observer is attached the L1 resident-hit case is
-        serviced inline (the probe's hit body plus the effectiveness
-        classification, verbatim) and the response is queued on the
-        unit's hit FIFO; misses go through
-        :meth:`MemorySystem._l1_access` with a callback that records the
-        demand latency itself.  Both shortcuts skip dispatch layers
-        only — cycle-for-cycle behaviour is pinned against the oracle by
-        the golden bit-identity suite.
+        An L1 resident hit is serviced inline (the probe's hit body plus
+        the effectiveness classification, with its trace events) and the
+        response is queued on the unit's hit FIFO; misses go through
+        :meth:`MemorySystem.l1_access` with a callback that records the
+        demand latency itself.
         """
         mask = warp.ready_mask
         if not mask:
@@ -581,7 +379,7 @@ class RTUnit:
         obs = self.obs
         l1 = self._l1
         l1_name = l1.name
-        l1_access = self.memsys._l1_access_batched
+        l1_access = self.memsys.l1_access
         demand_hook = self._demand_hook
         tracker = self._tracker
         lstats = l1.stats
@@ -649,36 +447,6 @@ class RTUnit:
         return claimed
 
     # -- response / op-unit path ---------------------------------------------
-
-    def _mark_dirty(self, callback):
-        def wrapped(cycle: int) -> None:
-            self.dirty = True
-            callback(cycle)
-
-        return wrapped
-
-    def _node_response(self, warp: WarpSlot, rays: List[RayTask]):
-        def on_data(cycle: int) -> None:
-            self.dirty = True
-            for ray in rays:
-                self._node_data_arrived(warp, ray, cycle)
-
-        return on_data
-
-    def _prim_response(self, warp: WarpSlot, rays: List[RayTask]):
-        def on_data(cycle: int) -> None:
-            self.dirty = True
-            for ray in rays:
-                ray.prim_lines_outstanding -= 1
-                if (
-                    ray.state is RayState.WAIT_PRIM
-                    and ray.prim_lines_outstanding == 0
-                ):
-                    self._start_test(
-                        warp, ray, cycle, self.config.primitive_test_latency
-                    )
-
-        return on_data
 
     def _node_miss_response(
         self, warp: WarpSlot, rays: List[RayTask], issue_cycle: int,
@@ -748,13 +516,13 @@ class RTUnit:
     def run_tests_due(self, cycle: int) -> None:
         """Deliver every queued hit response and test completion due.
 
-        The batched engine calls this right after the event queue drains
+        The replay engine calls this right after the event queue drains
         for the bucket, so responses and test completions land in the
-        same cycle they would as scalar heap events.  Within one cycle
-        the deliveries commute with each other and with the bucket's
-        heap events: they touch disjoint rays (a queued response's rays
-        wait in WAIT_*, a queued test's ray is TESTING, a fill's waiters
-        are other misses' rays) and all shared counters are additive.
+        cycle they are due.  Within one cycle the deliveries commute
+        with each other and with the bucket's heap events: they touch
+        disjoint rays (a queued response's rays wait in WAIT_*, a queued
+        test's ray is TESTING, a fill's waiters are other misses' rays)
+        and all shared counters are additive.
         """
         responses = self._hit_responses
         if responses and responses[0][0] <= cycle:
@@ -799,10 +567,9 @@ class RTUnit:
                         ):
                             ray.state = RayState.TESTING
                             prim_tests.append((due + prim_latency, warp, ray))
-        # Drain due test completions with :meth:`_test_done`'s body
-        # inlined (it fires once per completed visit, so the call
-        # overhead is the engine's single largest fixed cost); the
-        # scalar path keeps calling the method via its heap closures.
+        # Drain due test completions inline: this runs once per
+        # completed visit, so a call per completion would be the
+        # engine's single largest fixed cost.
         stats = self.stats
         fetch_ready = RayState.FETCH_READY
         done_state = RayState.DONE
@@ -829,58 +596,6 @@ class RTUnit:
                         warp.note_vote_change(old_vote, new_vote)
                         self.vote_version += 1
                     warp.note_ready(ray)
-
-    def next_test_cycle(self) -> Optional[int]:
-        """Due cycle of the earliest queued test completion, if any."""
-        box = self._box_tests[0][0] if self._box_tests else None
-        prim = self._prim_tests[0][0] if self._prim_tests else None
-        if box is None:
-            return prim
-        if prim is None or box < prim:
-            return box
-        return prim
-
-    def _node_data_arrived(self, warp: WarpSlot, ray: RayTask, cycle: int) -> None:
-        visit = ray.current_visit()
-        if visit.is_leaf and visit.primitive_count > 0:
-            ray.prim_lines_pending = ray.primitive_lines()
-            ray.prim_lines_outstanding = 0
-            ray.state = RayState.PRIM_READY
-            warp.note_ready(ray)
-        else:
-            self._start_test(warp, ray, cycle, self.config.box_test_latency)
-
-    def _start_test(
-        self, warp: WarpSlot, ray: RayTask, cycle: int, latency: int
-    ) -> None:
-        ray.state = RayState.TESTING
-        self.events.schedule(
-            cycle + latency, lambda at: self._test_done(warp, ray, at)
-        )
-
-    def _test_done(self, warp: WarpSlot, ray: RayTask, cycle: int) -> None:
-        # Called only for rays in TESTING (never DONE), so the SoA lists
-        # can be indexed directly; the cursor advance is inlined from
-        # :meth:`RayTask.advance` — this runs once per completed visit.
-        self.dirty = True
-        old_vote = ray.lookahead[ray.cursor]
-        self.stats.visits_completed += 1
-        cursor = ray.cursor + 1
-        ray.cursor = cursor
-        if cursor >= len(ray.trace.visits):
-            ray.state = RayState.DONE
-            warp.note_ray_done(old_vote)
-            if old_vote != -1:
-                self.vote_version += 1
-            if warp.done_count >= len(warp.rays):
-                self._retire(warp, cycle)
-        else:
-            ray.state = RayState.FETCH_READY
-            new_vote = ray.lookahead[cursor]
-            if new_vote != old_vote:
-                warp.note_vote_change(old_vote, new_vote)
-                self.vote_version += 1
-            warp.note_ready(ray)
 
     def _retire(self, warp: WarpSlot, cycle: int) -> None:
         self.buffer.remove(warp)

@@ -39,7 +39,7 @@ class RayTask:
     one vectorized table lookup per trace) pass ``addresses`` and
     ``treelets`` in; otherwise they are derived here per ray.
 
-    A ``__slots__`` class (not a dataclass): both replay engines read
+    A ``__slots__`` class (not a dataclass): the replay engine reads
     ``state``/``cursor``/the SoA lists on every issue, response, and
     test completion, so the slot layout is a measurable win.
     """

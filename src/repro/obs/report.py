@@ -49,29 +49,21 @@ def build_run_report(
     scale: str,
     stats,
     observer: Optional[Observer] = None,
-    replay_backend: Optional[str] = None,
     replay_jobs: int = 1,
 ) -> dict:
     """Assemble the ``run_report.json`` document for one run.
 
-    The ``execution`` section records provenance: which replay engine
-    produced the stats (``replay_backend``; resolved from the process
-    default when not given — the engines are bit-identical) and how
-    many worker processes the replay phase fanned across
-    (``replay_jobs``; 1 = in-process serial).
+    The ``execution`` section records provenance: how many worker
+    processes the replay phase fanned across (``replay_jobs``; 1 =
+    in-process serial).
     """
-    from ..core.pipeline import effective_replay_backend
-
     report = {
         "schema": REPORT_SCHEMA,
         "scene": scene,
         "technique": technique,
         "scale": scale,
         "stats": simstats_to_dict(stats),
-        "execution": {
-            "replay_backend": effective_replay_backend(replay_backend),
-            "replay_jobs": int(replay_jobs),
-        },
+        "execution": {"replay_jobs": int(replay_jobs)},
     }
     if observer is not None:
         report["metrics"] = observer.metrics.as_dict()

@@ -72,7 +72,7 @@ class Prefetcher:
         return None
 
     def queue_depth(self) -> int:
-        """Entries waiting to issue (the GPU fast-forward guard)."""
+        """Entries waiting to issue."""
         return 0
 
     def next_activity_cycle(self, cycle: int, version: int) -> Optional[int]:
@@ -80,12 +80,11 @@ class Prefetcher:
         on its own (pop a queued entry, make a decision, tick an epoch)
         without any new demand/memory activity waking its RT unit.
 
-        The batched replay engine uses this to know when a unit with no
-        issue-ready rays still has to be stepped; the scalar engine's
-        fast-forward uses it to bound jumps so skipping cycles never
-        skips a prefetcher decision.  ``None`` means "nothing scheduled"
-        — the prefetcher only reacts to events.  Implementations must
-        never return a value <= ``cycle``.
+        The replay engine uses this to know when a unit with no
+        issue-ready rays still has to be stepped, so skipping cycles
+        never skips a prefetcher decision.  ``None`` means "nothing
+        scheduled" — the prefetcher only reacts to events.
+        Implementations must never return a value <= ``cycle``.
 
         The base rule covers every history-based prefetcher (stride,
         stream, GHB, MTA): queued entries are poppable on the very next

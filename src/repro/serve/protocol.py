@@ -499,7 +499,7 @@ _SERVE_SWEEP_FIELDS = ("schema", "deadline_s", "wait")
 
 #: Facade fields that are runtime knobs, not wire-transportable work:
 #: the service rejects them instead of silently ignoring them.
-_SERVER_SIDE_FIELDS = ("cache", "trace_backend", "replay_backend")
+_SERVER_SIDE_FIELDS = ("cache", "trace_backend")
 
 
 def _reject_server_side_fields(payload: dict) -> None:

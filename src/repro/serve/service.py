@@ -215,18 +215,15 @@ class SimulationService:
         states = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
-        from ..core.pipeline import effective_replay_backend
-
         return {
             "state": "draining" if self._draining else "serving",
             "queue_depth": self.queue.qsize(),
             "inflight": self.scheduler.busy,
             "jobs": states,
             "result_cache": self.cache.info(),
-            # Execution provenance: which replay engine runs the batches
-            # and how many worker processes the replay phase fans across
-            # (1 = in-process serial; see MicroBatchScheduler).
-            "replay_backend": effective_replay_backend(),
+            # Execution provenance: how many worker processes the replay
+            # phase fans across (1 = in-process serial; see
+            # MicroBatchScheduler).
             "replay_workers": self.config.workers,
             "uptime_s": (
                 time.time() - self._started_unix
@@ -309,9 +306,6 @@ class SimulationService:
             text = self.metrics.to_prometheus()
             # Scrape metadata rides along as two extra series:
             # snapshot_seq resets on restart, started_unix dates it.
-            from ..core.pipeline import effective_replay_backend
-
-            backend = effective_replay_backend()
             text += (
                 "# TYPE repro_serve_snapshot_seq counter\n"
                 f"repro_serve_snapshot_seq {self._metrics_seq}\n"
@@ -319,8 +313,6 @@ class SimulationService:
                 f"repro_serve_started_unix {self._started_unix or 0}\n"
                 "# TYPE repro_serve_replay_workers gauge\n"
                 f"repro_serve_replay_workers {self.config.workers}\n"
-                "# TYPE repro_serve_replay_backend gauge\n"
-                f'repro_serve_replay_backend{{backend="{backend}"}} 1\n'
             )
             return 200, text, {
                 "Content-Type": "text/plain; version=0.0.4; charset=utf-8",

@@ -21,12 +21,17 @@ trigonometry that may round differently on another platform, so a case
 whose scene triangles differ from ``bvh_digests.json`` skips with that
 reason (see :func:`skip_unless_pinned_geometry`).
 
-Regenerate (only for a deliberate change of the model) with::
+The committed ``simstats.json`` was recorded while the model still had
+a second, per-cycle replay engine, and the generator refused to write it
+unless both engines agreed bit for bit; ``obs_events.json`` was recorded
+from two observed runs of each case that agreed.  Regenerate (only for
+a deliberate change of the model, which must then say why every
+changed value changed) with::
 
     PYTHONPATH=src python tests/golden_replay.py
 
-The generator replays every ``simstats.json`` case on both replay
-engines and refuses to write if they disagree.
+The generator still refuses to write an event stream whose two runs
+disagree, or whose observed statistics differ from the unobserved ones.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import json
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SIMSTATS_PATH = GOLDEN_DIR / "simstats.json"
@@ -138,16 +143,14 @@ def stats_record(stats) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(stats)))
 
 
-def build_model(key: str, backend: str = "batched", observer=None,
-                **overrides):
+def build_model(key: str, observer=None, **overrides):
     """A loaded model for a single-run case: ``(model, traces, bvh,
     layout)``.  ``overrides`` replace fields of the smoke GPU config."""
     from repro.core.pipeline import SMOKE, build_gpu_model
 
     scene, technique, workload, case_overrides = case_spec(key)
     config = dataclasses.replace(
-        SMOKE.gpu_config(), replay_backend=backend,
-        **{**case_overrides, **overrides},
+        SMOKE.gpu_config(), **{**case_overrides, **overrides}
     )
     return build_gpu_model(
         scene, technique, SMOKE, config, workload=workload,
@@ -155,10 +158,10 @@ def build_model(key: str, backend: str = "batched", observer=None,
     )
 
 
-def frame_rounds(backend: str = "batched", **overrides) -> List[dict]:
+def frame_rounds(**overrides) -> List[dict]:
     """Cumulative stats after each round of a WKND multi-frame session."""
     model, traces, bvh, layout = build_model(
-        scene_key("WKND", "treelet-prefetch"), backend, **overrides
+        scene_key("WKND", "treelet-prefetch"), **overrides
     )
     rounds = [stats_record(model.run())]
     for _ in range(FRAME_ROUNDS - 1):
@@ -167,15 +170,15 @@ def frame_rounds(backend: str = "batched", **overrides) -> List[dict]:
     return rounds
 
 
-def run_case(key: str, backend: str = "batched"):
+def run_case(key: str):
     """The golden record of one ``simstats.json`` case."""
     if key == FRAMES_KEY:
-        return frame_rounds(backend)
-    model, _, _, _ = build_model(key, backend)
+        return frame_rounds()
+    model, _, _, _ = build_model(key)
     return stats_record(model.run())
 
 
-def observed_run(key: str, backend: str = "batched"):
+def observed_run(key: str):
     """Replay ``key`` with an Observer attached; returns ``(stats,
     observer, delivered events)``, the events collected by subscribing
     to every kind (never truncated by the bus's retention cap)."""
@@ -186,7 +189,7 @@ def observed_run(key: str, backend: str = "batched"):
     delivered: list = []
     for kind in ALL_EVENT_KINDS:
         observer.bus.subscribe(kind, delivered.append)
-    model, _, _, _ = build_model(key, backend, observer=observer)
+    model, _, _, _ = build_model(key, observer=observer)
     return model.run(), observer, delivered
 
 
@@ -243,13 +246,6 @@ def skip_unless_pinned_geometry(key: str) -> None:
                     "the goldens were recorded from other triangles")
 
 
-def _agreed(name: str, compute: Callable[[str], object]):
-    records = {backend: compute(backend) for backend in ("batched", "scalar")}
-    if records["batched"] != records["scalar"]:
-        raise SystemExit(f"{name}: replay engines disagree; not writing")
-    return records["batched"]
-
-
 def _write(path: Path, note: str, cases: dict) -> None:
     doc = {"note": note, "cases": cases}
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -259,12 +255,10 @@ def _write(path: Path, note: str, cases: dict) -> None:
 def generate() -> None:
     simstats = {}
     for key in simstats_keys():
-        simstats[key] = _agreed(key, lambda b, k=key: run_case(k, b))
+        simstats[key] = run_case(key)
         print(key, file=sys.stderr)
-    # Event streams are recorded from the batched engine only: the
-    # scalar loop reports stalls one cycle at a time where the batched
-    # engine reports each stalled stretch as one span.  Two observed
-    # runs must agree, and observing must not change the statistics.
+    # Two observed runs must agree, and observing must not change the
+    # statistics.
     events = {}
     for key in OBS_CASES:
         records = []
@@ -277,12 +271,10 @@ def generate() -> None:
             raise SystemExit(f"{key}: event stream is not deterministic")
         events[key] = records[0]
         print(key, events[key]["events"], file=sys.stderr)
-    _write(SIMSTATS_PATH,
-           "Smoke-scale replays recorded on both replay engines (batched "
-           "and scalar), which agreed bit for bit.", simstats)
+    _write(SIMSTATS_PATH, "Smoke-scale replays.", simstats)
     _write(OBS_EVENTS_PATH,
-           "Smoke-scale observed replays on the batched engine; two runs "
-           "of each gave the same digest.", events)
+           "Smoke-scale observed replays; two runs of each gave the same "
+           "digest.", events)
 
 
 if __name__ == "__main__":

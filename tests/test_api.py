@@ -257,6 +257,14 @@ class TestWireRoundTrip:
             SweepRequest.from_dict({"technique": "baseline",
                                     "scene": ["WKND"]})
 
+    def test_replay_engine_field_is_unknown(self):
+        # The model has one replay engine; a request naming one is
+        # refused rather than silently ignored.
+        for engine in ("batched", "scalar"):
+            with pytest.raises(ValueError, match="'replay_backend'"):
+                RunRequest.from_dict({"scene": "WKND",
+                                      "replay_backend": engine})
+
     def test_bad_values_fail_eagerly(self):
         with pytest.raises(ValueError, match="scene"):
             RunRequest.from_dict({})

@@ -20,6 +20,14 @@ class TestParser:
         assert args.prefetch == "treelet"
         assert args.scheduler == "pmr"
 
+    def test_no_replay_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["run", "WKND", "--replay-backend", "scalar"]
+            )
+        assert exit_info.value.code == 2
+        assert "--replay-backend" in capsys.readouterr().err
+
     def test_scale_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stats", "WKND", "--scale", "huge"])

@@ -50,39 +50,6 @@ class TestRun:
         assert stats.visits_completed == expected
         assert stats.cycles > 0
 
-    def test_fast_forward_is_exact(self, small_bvh, decomposition):
-        """Jumping over stalled stretches must not change a single
-        cycle or counter — it is purely a host-time optimization."""
-        from repro.prefetch import TreeletAddressMap, TreeletPrefetcher
-        from repro.traversal import traverse_two_stack_batch
-        from repro.treelet import treelet_layout
-
-        rays = make_rays(48)
-        traces = traverse_two_stack_batch(rays, small_bvh, decomposition)
-        layout = treelet_layout(decomposition)
-        config = tiny_config()
-        address_map = TreeletAddressMap(
-            decomposition, layout, config.l1.line_bytes
-        )
-        results = []
-        for fast_forward in (True, False):
-            model = GpuModel(
-                config,
-                scheduler_policy="pmr",
-                prefetcher_factory=lambda sm: TreeletPrefetcher(address_map),
-                enable_fast_forward=fast_forward,
-            )
-            model.load(traces, small_bvh, layout)
-            results.append(model.run())
-        fast, slow = results
-        assert fast.cycles == slow.cycles
-        assert fast.visits_completed == slow.visits_completed
-        assert fast.prefetches_issued == slow.prefetches_issued
-        assert fast.l1.demand_hits == slow.l1.demand_hits
-        assert fast.dram_accesses == slow.dram_accesses
-        assert fast.stall_cycles == slow.stall_cycles
-        assert fast.busy_cycles == slow.busy_cycles
-
     def test_deterministic(self, workload):
         traces, bvh, layout = workload
         runs = []

@@ -2,7 +2,9 @@
 
 Attaching the trace bus to a run must not change a single field of
 ``SimStats``, on any (scene, technique) pair — tracing is observation,
-never perturbation.  The exported Chrome trace must be valid JSON with
+never perturbation — and the observed run must take the production
+path, delivering the event multiset pinned in
+``tests/golden/obs_events.json``.  The exported Chrome trace must be valid JSON with
 per-track monotonically nondecreasing timestamps, and the run report
 must carry the demand-latency and prefetch-timeliness histograms.
 """

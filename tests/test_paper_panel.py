@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_replay import skip_unless_pinned_geometry
+from golden_replay import scene_key, skip_unless_pinned_geometry
 from repro.api import run
 from repro.core.pipeline import BASELINE, DEFAULT, TREELET_PREFETCH
 
@@ -33,7 +33,7 @@ def test_panel_covers_the_ten_scenes():
 
 @pytest.mark.parametrize("scene", SCENES)
 def test_fig07_cycles_reproduce(scene):
-    skip_unless_pinned_geometry(f"scene|{scene}")
+    skip_unless_pinned_geometry(scene_key(scene, "baseline"))
     entry = RECORDED[scene]
     assert run(scene, BASELINE, DEFAULT).cycles == entry["base_cycles"]
     assert run(scene, TREELET_PREFETCH, DEFAULT).cycles == entry["pref_cycles"]

@@ -1,19 +1,16 @@
-"""Golden bit-identity suite for the replay engines.
+"""Golden bit-identity suite for the replay engine.
 
 Every case compares a live replay, field for field, with the
 ``SimStats`` recorded in ``tests/golden/simstats.json`` (see
 ``tests/golden_replay.py``): every scene, scheduler policy, prefetch
 technique preset, and the stream-buffer destination.  The goldens were
-recorded with the batched event engine and the scalar per-cycle oracle
-agreeing bit for bit, so history, not a second engine, is the oracle.
+recorded while a second, per-cycle replay engine still existed, with
+both engines agreeing bit for bit; history is now the oracle.
 
 Also pinned here:
 
 * the per-run deadlock guard (``max_cycles`` bounds one ``run()``, not
   the cumulative cycle counter, so multi-frame sessions never trip it);
-* fast-forward bit-identity (a host-time optimization of the scalar
-  loop only — enabling it changes nothing, and the batched engine does
-  not need it);
 * the trailing-event drain: ``stats.cycles`` equals the post-drain
   cycle base used to denominate DRAM utilization;
 * cumulative semantics: statistics accumulate across ``load()``/
@@ -21,55 +18,37 @@ Also pinned here:
   cycle counter.
 """
 
-import dataclasses
-
 import pytest
 
 from golden_replay import (
     FRAMES_KEY,
     STREAM_KEY,
     TECHNIQUES,
+    build_model,
     golden_simstats,
     preset_key,
     presets,
     run_case,
     scene_key,
     skip_unless_pinned_geometry,
+    stats_record,
 )
-from repro.core.pipeline import (
-    SMOKE,
-    TREELET_PREFETCH,
-    build_gpu_model,
-)
-from repro.gpusim import REPLAY_BACKENDS, SimulationLimitError
+from repro.gpusim import SimulationLimitError
 from repro.scenes import ALL_SCENES
 
 PRESETS = presets()
+WKND_TP = scene_key("WKND", "treelet-prefetch")
 
 
 def _check_golden(key):
     skip_unless_pinned_geometry(key)
-    expected = golden_simstats(key)
-    for backend in REPLAY_BACKENDS:
-        assert run_case(key, backend) == expected, backend
+    assert run_case(key) == golden_simstats(key)
 
 
-def _config(backend, **overrides):
-    return dataclasses.replace(
-        SMOKE.gpu_config(), replay_backend=backend, **overrides
-    )
-
-
-def _run(scene, technique, backend, fast_forward=True, **config_overrides):
-    """One smoke-scale replay; returns the stats as a plain dict."""
-    model, _, _, _ = build_gpu_model(
-        scene,
-        technique,
-        SMOKE,
-        _config(backend, **config_overrides),
-        enable_fast_forward=fast_forward,
-    )
-    return dataclasses.asdict(model.run())
+def _frames_golden():
+    """Cumulative cycles after each round of the golden WKND session."""
+    skip_unless_pinned_geometry(FRAMES_KEY)
+    return [round_["cycles"] for round_ in golden_simstats(FRAMES_KEY)]
 
 
 class TestGoldenBitIdentity:
@@ -86,72 +65,36 @@ class TestGoldenBitIdentity:
         _check_golden(STREAM_KEY)
 
 
-class TestFastForward:
-    """Satellite: fast-forward stall accounting is exact.
-
-    The jump credits the skipped cycles as stalls; if the accounting
-    drifted, prefetch-enabled configs (whose prefetchers self-schedule
-    activity inside stalled stretches) would diverge first.
-    """
-
-    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
-    @pytest.mark.parametrize(
-        "name", ["treelet-prefetch", "tp-adaptive", "mapping-strict"]
-    )
-    def test_bit_identity(self, backend, name):
-        technique = PRESETS[name]
-        assert _run("WKND", technique, backend, fast_forward=True) == _run(
-            "WKND", technique, backend, fast_forward=False
-        )
-
-
 class TestDeadlockGuard:
-    """Satellite: ``max_cycles`` bounds one run, not the session."""
+    """``max_cycles`` bounds one run, not the session."""
 
-    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
-    def test_multi_frame_session_never_trips(self, backend):
+    def test_multi_frame_session_never_trips(self):
         # Measure one frame, then replay several frames on a model whose
         # budget covers any single frame but not their sum.  A guard
         # keyed to the cumulative counter would (wrongly) trip here.
-        model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config(backend)
-        )
+        model, traces, bvh, layout = build_model(WKND_TP)
         frame_cycles = model.run().cycles
         budget = 2 * frame_cycles
-        model, traces, bvh, layout = build_gpu_model(
-            "WKND",
-            TREELET_PREFETCH,
-            SMOKE,
-            _config(backend, max_cycles=budget),
-        )
+        model, traces, bvh, layout = build_model(WKND_TP, max_cycles=budget)
         total = model.run().cycles
         for _ in range(3):
             delta = model.run_frame(traces, bvh, layout)
             assert 0 < delta <= budget
             total += delta
         assert total > budget  # the session really exceeded one budget
-        assert model._current_cycle == total
+        assert model._current_cycle == total == _frames_golden()[3]
 
-    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
-    def test_guard_still_fires(self, backend):
-        model, _, _, _ = build_gpu_model(
-            "WKND",
-            TREELET_PREFETCH,
-            SMOKE,
-            _config(backend, max_cycles=5),
-        )
+    def test_guard_still_fires(self):
+        model, _, _, _ = build_model(WKND_TP, max_cycles=5)
         with pytest.raises(SimulationLimitError):
             model.run()
 
 
 class TestTrailingDrain:
-    """Satellite: the post-run event drain sets the cycle base."""
+    """The post-run event drain sets the cycle base."""
 
-    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
-    def test_cycle_base_consistency(self, backend):
-        model, _, _, _ = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config(backend)
-        )
+    def test_cycle_base_consistency(self):
+        model, _, _, _ = build_model(WKND_TP)
         stats = model.run()
         # The drain ran to empty and advanced the cumulative counter.
         assert len(model.events) == 0
@@ -167,30 +110,23 @@ class TestTrailingDrain:
         assert rates["dram_utilization"] == stats.dram_utilization
 
     def test_backends_agree_on_base(self):
-        runs = {
-            backend: _run("SHIP", TREELET_PREFETCH, backend)
-            for backend in REPLAY_BACKENDS
-        }
-        assert runs["batched"]["cycles"] == runs["scalar"]["cycles"]
-        assert (
-            runs["batched"]["dram_utilization"]
-            == runs["scalar"]["dram_utilization"]
-        )
-        golden = golden_simstats(scene_key("SHIP", "treelet-prefetch"))
-        assert runs["batched"]["cycles"] == golden["cycles"]
-        assert runs["batched"]["dram_utilization"] == golden[
-            "dram_utilization"
-        ]
+        """The drained cycle base and the utilization it denominates
+        equal the values both replay engines agreed on when the golden
+        was recorded."""
+        key = scene_key("SHIP", "treelet-prefetch")
+        skip_unless_pinned_geometry(key)
+        model, _, _, _ = build_model(key)
+        stats = model.run()
+        golden = golden_simstats(key)
+        assert stats.cycles == golden["cycles"]
+        assert stats.dram_utilization == golden["dram_utilization"]
 
 
 class TestCumulativeSemantics:
-    """Satellite: stats accumulate across load/run rounds."""
+    """Stats accumulate across load/run rounds."""
 
-    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
-    def test_two_rounds_accumulate(self, backend):
-        model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config(backend)
-        )
+    def test_two_rounds_accumulate(self):
+        model, traces, bvh, layout = build_model(WKND_TP)
         first = model.run()
         model.load(traces, bvh, layout)
         second = model.run()
@@ -200,40 +136,29 @@ class TestCumulativeSemantics:
         assert second.cycles == model._current_cycle
 
     def test_two_rounds_bit_identical_across_backends(self):
-        results = {}
-        for backend in REPLAY_BACKENDS:
-            model, traces, bvh, layout = build_gpu_model(
-                "WKND", TREELET_PREFETCH, SMOKE, _config(backend)
-            )
-            model.run()
-            model.load(traces, bvh, layout)
-            results[backend] = dataclasses.asdict(model.run())
-        assert results["batched"] == results["scalar"]
-        golden = golden_simstats(FRAMES_KEY)[1]
-        assert results["batched"] == golden
+        """Two rounds reproduce, field for field, the cumulative stats
+        both replay engines agreed on when the golden was recorded."""
+        skip_unless_pinned_geometry(FRAMES_KEY)
+        model, traces, bvh, layout = build_model(WKND_TP)
+        model.run()
+        model.load(traces, bvh, layout)
+        assert stats_record(model.run()) == golden_simstats(FRAMES_KEY)[1]
 
-    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
-    def test_run_frame_deltas_sum_to_cycle_counter(self, backend):
-        model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config(backend)
-        )
+    def test_run_frame_deltas_sum_to_cycle_counter(self):
+        model, traces, bvh, layout = build_model(WKND_TP)
         deltas = [model.run().cycles]
         for _ in range(2):
             deltas.append(model.run_frame(traces, bvh, layout))
         assert sum(deltas) == model._current_cycle
 
     def test_frame_deltas_agree_across_backends(self):
-        deltas = {}
-        for backend in REPLAY_BACKENDS:
-            model, traces, bvh, layout = build_gpu_model(
-                "WKND", TREELET_PREFETCH, SMOKE, _config(backend)
-            )
-            first = model.run().cycles
-            deltas[backend] = [first] + [
-                model.run_frame(traces, bvh, layout) for _ in range(2)
-            ]
-        assert deltas["batched"] == deltas["scalar"]
-        cycles = [round_["cycles"] for round_ in golden_simstats(FRAMES_KEY)]
-        assert deltas["batched"] == [cycles[0]] + [
-            b - a for a, b in zip(cycles, cycles[1:3])
+        """``run_frame`` deltas equal the golden session's per-round
+        cycle increments (recorded with both replay engines agreeing)."""
+        cycles = _frames_golden()
+        model, traces, bvh, layout = build_model(WKND_TP)
+        deltas = [model.run().cycles] + [
+            model.run_frame(traces, bvh, layout) for _ in range(3)
+        ]
+        assert deltas == [cycles[0]] + [
+            b - a for a, b in zip(cycles, cycles[1:])
         ]

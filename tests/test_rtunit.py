@@ -50,6 +50,7 @@ def run(unit, events, max_cycles=100_000):
     cycle = 0
     while unit.busy():
         events.run_due(cycle)
+        unit.run_tests_due(cycle)
         unit.step(cycle)
         cycle += 1
         assert cycle < max_cycles, "RT unit did not drain"

@@ -508,12 +508,14 @@ class TestHttpSurface:
 
     def test_server_side_field_in_wire_request_is_400(self, serve_factory):
         handle = serve_factory()
-        status, _headers, doc = handle.post(
-            "/v1/run",
-            {"scene": "WKND", "scale": "smoke", "cache": False},
-        )
-        assert status == 400
-        assert "cache" in doc["error"]
+        # ``replay_backend`` named a second replay engine the model no
+        # longer has; it is refused like any other unknown field.
+        for field, value in (("cache", False), ("replay_backend", "scalar")):
+            status, _headers, doc = handle.post(
+                "/v1/run", {"scene": "WKND", "scale": "smoke", field: value},
+            )
+            assert status == 400
+            assert field in doc["error"]
 
     def test_unknown_field_suggests_near_miss(self, serve_factory):
         handle = serve_factory()
