@@ -16,6 +16,10 @@ Also pinned here:
 * cumulative semantics: statistics accumulate across ``load()``/
   ``run()`` rounds and ``run_frame`` deltas sum to the cumulative
   cycle counter.
+
+The guard, drain and cumulative checks run once per trace-generation
+backend (the ``trace_backend`` fixture), so the replay is exercised on
+traces from both the numpy packet traversal and its scalar reference.
 """
 
 import pytest
@@ -33,11 +37,33 @@ from golden_replay import (
     skip_unless_pinned_geometry,
     stats_record,
 )
+from repro.core.pipeline import STORE, set_trace_backend
 from repro.gpusim import SimulationLimitError
 from repro.scenes import ALL_SCENES
 
 PRESETS = presets()
 WKND_TP = scene_key("WKND", "treelet-prefetch")
+
+
+@pytest.fixture(
+    params=[
+        pytest.param("vectorized", id="batched"),
+        pytest.param("scalar", id="scalar"),
+    ]
+)
+def trace_backend(request):
+    """Generate the case's traces with one trace backend: ``batched`` is
+    the numpy packet traversal ("vectorized"), ``scalar`` the pure-Python
+    reference.  The trace store is not keyed by backend, so its memory
+    tier is dropped around the case, and the case must have built its
+    traces afresh rather than loaded them from the on-disk tier."""
+    STORE.clear("traces")
+    built = STORE.builds["traces"]
+    set_trace_backend(request.param)
+    yield request.param
+    set_trace_backend(None)
+    STORE.clear("traces")
+    assert STORE.builds["traces"] > built, "traces were not rebuilt"
 
 
 def _check_golden(key):
@@ -68,6 +94,7 @@ class TestGoldenBitIdentity:
 class TestDeadlockGuard:
     """``max_cycles`` bounds one run, not the session."""
 
+    @pytest.mark.usefixtures("trace_backend")
     def test_multi_frame_session_never_trips(self):
         # Measure one frame, then replay several frames on a model whose
         # budget covers any single frame but not their sum.  A guard
@@ -84,6 +111,7 @@ class TestDeadlockGuard:
         assert total > budget  # the session really exceeded one budget
         assert model._current_cycle == total == _frames_golden()[3]
 
+    @pytest.mark.usefixtures("trace_backend")
     def test_guard_still_fires(self):
         model, _, _, _ = build_model(WKND_TP, max_cycles=5)
         with pytest.raises(SimulationLimitError):
@@ -93,6 +121,7 @@ class TestDeadlockGuard:
 class TestTrailingDrain:
     """The post-run event drain sets the cycle base."""
 
+    @pytest.mark.usefixtures("trace_backend")
     def test_cycle_base_consistency(self):
         model, _, _, _ = build_model(WKND_TP)
         stats = model.run()
@@ -125,6 +154,7 @@ class TestTrailingDrain:
 class TestCumulativeSemantics:
     """Stats accumulate across load/run rounds."""
 
+    @pytest.mark.usefixtures("trace_backend")
     def test_two_rounds_accumulate(self):
         model, traces, bvh, layout = build_model(WKND_TP)
         first = model.run()
@@ -144,6 +174,7 @@ class TestCumulativeSemantics:
         model.load(traces, bvh, layout)
         assert stats_record(model.run()) == golden_simstats(FRAMES_KEY)[1]
 
+    @pytest.mark.usefixtures("trace_backend")
     def test_run_frame_deltas_sum_to_cycle_counter(self):
         model, traces, bvh, layout = build_model(WKND_TP)
         deltas = [model.run().cycles]
